@@ -2,11 +2,12 @@
 
 The generator is the product of the distinct minimal polynomials of the
 designed consecutive roots; decoding runs in the big field through the
-Reed-Solomon machinery and, for binary codes, skips the evaluator and
-simply flips the located bits.
+Reed-Solomon decoder and keeps only corrections inside the subfield.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .errors import InvalidParams, SubfieldViolation
 from .cyclic import CyclicCode
@@ -52,58 +53,17 @@ class BCHCode:
         return self._cyclic.encode(u, systematic=systematic)
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        """Decode up to the designed distance via the big-field solver."""
+        """Decode up to the designed distance through the big-field RS
+        decoder; a correction that leaves the subfield is uncorrectable.
+        Over GF(2) the error values come out as 1, so this is the
+        bit-flip decoder."""
         w = as_received(word, erasures)
         if any(x not in self.subfield for x in w.symbols):
             raise SubfieldViolation("received symbols must lie in the subfield")
-        if self.sub_order == 2 and not w.erasures:
-            out = self._decode_binary(w)
-        else:
-            out = self.rs.euclid_decode(w)
-        if out.corrected and any(x not in self.subfield for x in out.codeword):
-            raise SubfieldViolation("corrected word left the subfield")
-        if out.corrected:
-            out = DecodeOutcome(
-                "corrected",
-                codeword=out.codeword,
-                error_vector=out.error_vector,
-                error_positions=out.error_positions,
-                info=out.codeword[: self.k],
-                key_state=out.key_state,
-            )
-        return out
-
-    def _decode_binary(self, w) -> DecodeOutcome:
-        """Binary shortcut: locate the errors, flip the bits."""
-        f = self.field
-        rs = self.rs
-        S = rs.syndromes(w)
-        if S.is_zero:
-            return DecodeOutcome(
-                "corrected", codeword=w.symbols,
-                error_vector=(0,) * self.n, info=w.symbols[: self.k],
-            )
-        solved = rs._solve_euclid(S, rs.n - rs.k, 0)
-        if solved is None:
+        out = self.rs.decode(w)
+        if not out.corrected or any(x not in self.subfield for x in out.codeword):
             return DecodeOutcome.failure()
-        sigma, omega = solved
-        roots = [i for i in range(self.n) if sigma(f.pow(rs.beta, -i)) == 0]
-        if len(roots) != sigma.degree:
-            return DecodeOutcome.failure()
-        fixed = list(w.symbols)
-        for i in roots:
-            fixed[i] ^= 1
-        check = rs.syndromes(tuple(fixed))
-        if not check.is_zero:
-            return DecodeOutcome.failure()
-        err = tuple(1 if i in set(roots) else 0 for i in range(self.n))
-        from .reed_solomon import KeyEquationState
-        state = KeyEquationState(S, S, sigma, Poly.one(f), omega)
-        return DecodeOutcome(
-            "corrected", codeword=tuple(fixed), error_vector=err,
-            error_positions=tuple(sorted(roots)), info=tuple(fixed[: self.k]),
-            key_state=state,
-        )
+        return replace(out, info=out.codeword[: self.k])
 
     def __repr__(self):
         return (f"BCHCode[{self.n},{self.k}] over GF({self.sub_order}) "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidSpan, LengthMismatch, TooLarge
+from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
 from .linear import DecodeOutcome, as_received
 
 
@@ -73,74 +73,69 @@ def is_burst(v, l: int) -> bool:
 class InterleavedCode:
     """Depth-m interleave of a base code: column j of the n x m array
     is a base codeword and symbols are serialized in row order, so a
-    serial burst of up to m symbols hits each column at most once."""
+    serial burst of up to m symbols hits each column at most once.
+    `n` and `k` are the totals (`total_n`/`total_k` are aliases)."""
 
     def __init__(self, base, depth: int):
         if depth < 1:
             raise InvalidSpan("depth must be >= 1")
+        if isinstance(base, ProductCode):
+            raise InvalidParams("a product code cannot be interleaved")
         self.base = base
         self.depth = depth
-        self.n = base.n_out if hasattr(base, "n_out") else base.n
-        self.k = base.k_out if hasattr(base, "k_out") else base.k
-        self.total_n = self.n * depth
-        self.total_k = self.k * depth
+        self.field = base.field
+        self.n = base.n * depth
+        self.k = base.k * depth
+
+    @property
+    def total_n(self) -> int:
+        return self.n
+
+    @property
+    def total_k(self) -> int:
+        return self.k
 
     def encode(self, info):
         info = tuple(info)
-        if len(info) != self.total_k:
-            raise LengthMismatch(f"info length {len(info)} != {self.total_k}")
+        if len(info) != self.k:
+            raise LengthMismatch(f"info length {len(info)} != {self.k}")
         m = self.depth
         columns = [self.base.encode(info[j::m]) for j in range(m)]
-        out = []
-        for i in range(self.n):
-            for j in range(m):
-                out.append(columns[j][i])
-        return tuple(out)
+        return _interleave(columns)
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
         w = as_received(word, erasures)
-        if len(w) != self.total_n:
-            raise LengthMismatch(f"word length {len(w)} != {self.total_n}")
+        if len(w) != self.n:
+            raise LengthMismatch(f"word length {len(w)} != {self.n}")
         m = self.depth
-        fixed = [0] * self.total_n
-        err = [0] * self.total_n
-        positions = []
         outcomes = []
-        ok = True
         for j in range(m):
-            col = w.symbols[j::m]
             col_erasures = [p // m for p in w.erasures if p % m == j]
-            out = self.base.euclid_decode(col, erasures=col_erasures) \
-                if hasattr(self.base, "euclid_decode") else self.base.decode(col)
-            outcomes.append(out)
+            out = self.base.decode(w.symbols[j::m], col_erasures)
             if not out.corrected:
-                ok = False
-                continue
-            for i in range(self.n):
-                fixed[i * m + j] = out.codeword[i]
-            if out.error_vector:
-                contracted = getattr(self.base, "_contract_word", tuple)
-                ev = contracted(out.error_vector)
-                for i, e in enumerate(ev):
-                    if e:
-                        err[i * m + j] = e
-                        positions.append(i * m + j)
-        if not ok:
-            return DecodeOutcome.failure()
-        info = tuple(
-            fixed[i * m + j] for i in range(self.k) for j in range(m)
-        )
+                return DecodeOutcome.failure()
+            outcomes.append(out)
+        codeword = _interleave([out.codeword for out in outcomes])
+        f = self.field
+        err = tuple(f.sub(r, c) for r, c in zip(w.symbols, codeword))
         return DecodeOutcome(
-            "corrected", codeword=tuple(fixed), error_vector=tuple(err),
-            error_positions=tuple(sorted(positions)), info=info,
+            "corrected", codeword=codeword, error_vector=err,
+            error_positions=tuple(i for i, e in enumerate(err) if e),
+            info=_interleave([out.info for out in outcomes]),
         )
+
+
+def _interleave(columns) -> tuple:
+    """Read equal-length columns out in row order."""
+    return tuple(x for row in zip(*columns) for x in row)
 
 
 @dataclass(frozen=True)
 class ProductDecodePolicy:
     """Stage-1 policy: rows the inner decoder cannot (or may not,
     given `max_inner_errors`) correct are erased for the outer stage;
-    `rerun_inner` applies the inner decoder once more at the end."""
+    `rerun_inner` lets the inner decoder correct rows once more at the
+    end."""
 
     max_inner_errors: int | None = None
     rerun_inner: bool = False
@@ -148,108 +143,118 @@ class ProductDecodePolicy:
 
 class ProductCode:
     """Product of an outer [n1,k1] code on columns with an inner
-    [n2,k2] code on rows; read-out is row order."""
+    [n2,k2] code on rows; read-out is row order.
+
+    `field`, `n` = n1 n2 and `k` = k1 k2 describe the serialized code,
+    but `encode` and `decode` work on k1 x k2 and n1 x n2 arrays, so a
+    product is not itself a valid part of another composition.
+    """
 
     def __init__(self, outer, inner):
+        if isinstance(outer, ProductCode) or isinstance(inner, ProductCode):
+            raise InvalidParams("a product code cannot be a part of a product")
+        if outer.field != inner.field:
+            raise InvalidParams(
+                f"outer code over {outer.field!r} and inner code over "
+                f"{inner.field!r}: the parts must share a field"
+            )
         self.outer = outer
         self.inner = inner
-        self.n1 = outer.n_out if hasattr(outer, "n_out") else outer.n
-        self.k1 = outer.k_out if hasattr(outer, "k_out") else outer.k
-        self.n2 = inner.n_out if hasattr(inner, "n_out") else inner.n
-        self.k2 = inner.k_out if hasattr(inner, "k_out") else inner.k
+        self.field = outer.field
+        self.n1, self.k1 = outer.n, outer.k
+        self.n2, self.k2 = inner.n, inner.k
+        self.n = self.n1 * self.n2
+        self.k = self.k1 * self.k2
 
     def encode(self, info_rows):
-        """info_rows: k1 x k2.  Encodes rows first, then columns, and
-        checks that the opposite order gives the same array."""
+        """info_rows: k1 x k2.  Encodes the rows, then the columns; by
+        linearity the rows of the result are inner codewords too."""
         rows = [tuple(r) for r in info_rows]
         if len(rows) != self.k1 or any(len(r) != self.k2 for r in rows):
             raise LengthMismatch(f"info must be {self.k1} x {self.k2}")
-
-        # rows then columns
         a = [self.inner.encode(r) for r in rows]
-        cols = [self.outer.encode([a[i][j] for i in range(self.k1)])
-                for j in range(self.n2)]
-        arr_rc = tuple(tuple(cols[j][i] for j in range(self.n2))
-                       for i in range(self.n1))
-
-        # columns then rows
-        b_cols = [self.outer.encode([rows[i][j] for i in range(self.k1)])
-                  for j in range(self.k2)]
-        arr_cr = tuple(
-            self.inner.encode([b_cols[j][i] for j in range(self.k2)])
-            for i in range(self.n1)
-        )
-        assert arr_rc == arr_cr, "row-first and column-first encodings differ"
-        return arr_rc
+        cols = [self.outer.encode(col) for col in zip(*a)]
+        return tuple(zip(*cols))
 
     def serialize(self, array):
         return tuple(x for row in array for x in row)
 
     def deserialize(self, word):
         word = tuple(word)
-        if len(word) != self.n1 * self.n2:
+        if len(word) != self.n:
             raise LengthMismatch("word does not fill the array")
         return tuple(
             word[i * self.n2:(i + 1) * self.n2] for i in range(self.n1)
         )
 
     def decode(self, array, policy: ProductDecodePolicy = ProductDecodePolicy()):
+        """Stage 1 decodes the rows and erases those it gives up on;
+        stage 2 decodes the columns with those erasures.  Rows that
+        stage 2 filled in or changed are then checked by the inner
+        decoder, so only product codewords are ever emitted."""
         rows = [tuple(r) for r in array]
         if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
             raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
 
         # stage 1: inner decoding; failures erase the whole row
-        stage1 = []
+        row_outs = []     # the inner outcome of each row, None if erased
         erased_rows = []
         for i, row in enumerate(rows):
-            out = self._inner_decode(row)
+            out = self.inner.decode(row)
             bad = not out.corrected
             if not bad and policy.max_inner_errors is not None:
                 bad = len(out.error_positions) > policy.max_inner_errors
             if bad:
                 erased_rows.append(i)
-                stage1.append(row)
+                row_outs.append(None)
             else:
-                stage1.append(out.codeword)
+                rows[i] = out.codeword
+                row_outs.append(out)
 
         # stage 2: outer error-erasure decoding per column
-        cols = []
-        for j in range(self.n2):
-            col = [stage1[i][j] for i in range(self.n1)]
-            out = self._outer_decode(col, erased_rows)
+        col_outs = []
+        for col in zip(*rows):
+            out = self.outer.decode(col, erased_rows)
             if not out.corrected:
                 return DecodeOutcome.failure()
-            cols.append(out.codeword)
-        result = [
-            tuple(cols[j][i] for j in range(self.n2)) for i in range(self.n1)
-        ]
+            col_outs.append(out)
+        result = list(zip(*(out.codeword for out in col_outs)))
 
-        # stage 3 (optional): one more inner pass
-        if policy.rerun_inner:
-            fixed_rows = []
-            for row in result:
-                out = self._inner_decode(row)
-                if not out.corrected:
+        # rows filled in or changed by stage 2 must be inner codewords;
+        # with rerun_inner the inner decoder may still correct them, and
+        # the columns it touches must stay outer codewords
+        touched = set()
+        for i, row in enumerate(result):
+            if row_outs[i] is not None and row == row_outs[i].codeword:
+                continue
+            out = self.inner.decode(row)
+            if not out.corrected:
+                return DecodeOutcome.failure()
+            if out.codeword != row:
+                if not policy.rerun_inner:
                     return DecodeOutcome.failure()
-                fixed_rows.append(out.codeword)
-            result = fixed_rows
+                touched.update(j for j, (a, b) in enumerate(zip(row, out.codeword))
+                               if a != b)
+                result[i] = out.codeword
+            row_outs[i] = out
+        for j in touched:
+            col = tuple(row[j] for row in result)
+            out = self.outer.decode(col)
+            if not out.corrected or out.codeword != col:
+                return DecodeOutcome.failure()
+            col_outs[j] = out
 
-        info = tuple(r[: self.k2] for r in result[: self.k1])
+        # the outer info of the columns is k1 rows of inner codewords;
+        # for a systematic outer code they are the first k1 rows
+        info = []
+        for i, a in enumerate(zip(*(out.info for out in col_outs))):
+            out = row_outs[i] if a == result[i] else self.inner.decode(a)
+            info.extend(out.info)
         return DecodeOutcome(
             "corrected",
             codeword=self.serialize(result),
-            info=self.serialize(info),
+            info=tuple(info),
         )
-
-    def _inner_decode(self, row):
-        if hasattr(self.inner, "euclid_decode"):
-            return self.inner.euclid_decode(row)
-        return self.inner.decode(row)
-
-    def _outer_decode(self, col, erasures):
-        if hasattr(self.outer, "euclid_decode"):
-            return self.outer.euclid_decode(col, erasures=erasures)
-        return self.outer.decode(as_received(col, erasures))
 
 
 def product_min_distance(outer, inner) -> int:
@@ -274,12 +279,7 @@ def product_min_distance(outer, inner) -> int:
 def reiger_report(code, l: int) -> dict:
     """Check 2l <= n - k and report the burst-correcting efficiency
     2l/(n-k) as an exact rational."""
-    if hasattr(code, "total_n"):
-        n, k = code.total_n, code.total_k
-    elif hasattr(code, "n_out"):
-        n, k = code.n_out, code.k_out
-    else:
-        n, k = code.n, code.k
+    n, k = code.n, code.k
     if l < 0:
         raise InvalidSpan("negative burst length")
     if l == 0:

@@ -236,17 +236,10 @@ def _monte_carlo_array(code, array, p, trials, seed, detect_syndromes):
 
 
 def _monte_carlo_loop(code, decoder, p, trials, seed):
-    n, k = code.n, code.k
-    fld = getattr(code, "field", None)
+    n, k, fld = code.n, code.k, code.field
     # subfield codes draw their symbols from the subfield alphabet
-    if hasattr(code, "subfield"):
-        alphabet = sorted(code.subfield)
-    elif fld is not None:
-        alphabet = list(fld.elements())
-    else:
-        alphabet = [0, 1]
+    alphabet = sorted(getattr(code, "subfield", None) or fld.elements())
     q = len(alphabet)
-    add = fld.add if fld is not None else (lambda a, b: a ^ b)
     n_err = n_det = 0
     bit_errs = 0
     done = 0
@@ -264,7 +257,7 @@ def _monte_carlo_loop(code, decoder, p, trials, seed):
             r = list(code.encode(u))
             for i in range(n):
                 if noise_mask[b, i]:
-                    r[i] = add(r[i], alphabet[int(noise_vals[b, i])])
+                    r[i] = fld.add(r[i], alphabet[int(noise_vals[b, i])])
             out = decoder(tuple(r))
             if not out.corrected:
                 n_det += 1

@@ -13,16 +13,23 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .burst import reiger_report
+from .bch import BCHCode
+from .burst import ProductCode, reiger_report
 from .channel import event_polynomials, monte_carlo
 from .codespec import SpecError, build, parse_field
+from .cyclic import CyclicCode
 from .errors import FecError, TooLarge
 from .galois import LOG_ZERO
 from .linear import LinearCode, StandardArray
+from .named_codes import GolayCode, HammingCode
+from .reed_solomon import RSCode
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_UNCORRECTABLE = 2
+
+# families with a generator polynomial and a non-systematic encoder
+_POLYNOMIAL_CODES = (CyclicCode, RSCode, BCHCode)
 
 
 def _parse_word(field, text: str):
@@ -59,7 +66,12 @@ def cmd_field(args) -> int:
 def cmd_encode(args) -> int:
     built = build(args.code)
     u = _parse_word(built.field, args.message)
-    word = built.encode(u, systematic=not args.nonsystematic)
+    if not args.nonsystematic:
+        word = built.encode(u)
+    elif isinstance(built.code, _POLYNOMIAL_CODES):
+        word = built.code.encode(u, systematic=False)
+    else:
+        raise SpecError(f"{built.spec.family} codes have no non-systematic encoder")
     print(_fmt_word(built.field, word, args.vector))
     return EXIT_OK
 
@@ -74,7 +86,7 @@ def cmd_decode(args) -> int:
         kwargs["rerun_inner"] = True
     if args.max_inner_errors is not None:
         kwargs["max_inner_errors"] = args.max_inner_errors
-    if kwargs and not args.code.strip().startswith("product"):
+    if kwargs and not isinstance(built.code, ProductCode):
         raise ValueError("inner-decode policy flags apply to product codes")
     out = built.decode(received, erasures=erasures, **kwargs)
     fld = built.field
@@ -105,18 +117,16 @@ def _linear_of(built):
     code = built.code
     if isinstance(code, LinearCode):
         return code
-    if hasattr(code, "code") and isinstance(code.code, LinearCode):
+    if isinstance(code, (HammingCode, GolayCode)):
         return code.code
-    if hasattr(code, "matrices"):
+    if isinstance(code, CyclicCode):
         return LinearCode.from_generator(built.field, code.matrices()[0])
-    if hasattr(code, "encode"):
-        # generic linear view: encode the unit messages
-        rows = [
-            built.encode(tuple(1 if i == j else 0 for i in range(built.k)))
-            for j in range(built.k)
-        ]
-        return LinearCode.from_generator(built.field, rows)
-    raise TooLarge("no linear view available for this family")
+    # generic linear view: encode the unit messages
+    rows = [
+        built.encode(tuple(1 if i == j else 0 for i in range(built.k)))
+        for j in range(built.k)
+    ]
+    return LinearCode.from_generator(built.field, rows)
 
 
 def cmd_array(args) -> int:
@@ -194,8 +204,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     built = build(args.code)
-    gen = getattr(built.code, "g", None)
-    if gen is not None:
+    if isinstance(built.code, _POLYNOMIAL_CODES):
+        gen = built.code.g
         coeffs = ",".join(
             built.field.format_element(c) for c in gen.to_vector(
                 len(gen.coeffs))
@@ -211,8 +221,7 @@ def cmd_analyze(args) -> int:
     except TooLarge:
         print("bounds: skipped (too large for exhaustive distance)")
     if args.burst is not None:
-        rep = reiger_report(built.code if hasattr(built.code, "n") else built,
-                            args.burst)
+        rep = reiger_report(built, args.burst)
         print(f"burst_l={args.burst} bound_ok={rep['bound_ok']} "
               f"efficiency={rep['efficiency']}")
     return EXIT_OK

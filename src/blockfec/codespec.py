@@ -24,15 +24,9 @@ from dataclasses import dataclass, field as dc_field
 from .bch import BCHCode
 from .burst import InterleavedCode, ProductCode, ProductDecodePolicy
 from .cyclic import CyclicCode
-from .errors import FecError
+from .errors import FecError, LengthMismatch
 from .galois import FiniteField
-from .linear import (
-    DecodeOutcome,
-    LinearCode,
-    MatrixGF,
-    StandardArray,
-    as_received,
-)
+from .linear import LinearCode, MatrixGF
 from .named_codes import GolayCode, HammingCode
 from .poly import Poly
 from .reed_solomon import RSCode
@@ -123,17 +117,19 @@ def parse_spec(text: str) -> CodeSpec:
 
 
 class BuiltCode:
-    """A family-specific bundle: the code object plus uniform encode
-    and decode entry points for the CLI."""
+    """A code object with flat encode and decode entry points for the
+    CLI: the code's own, except for a product code, whose arrays are
+    serialized in row order."""
 
-    def __init__(self, spec, code, field, n, k, encode, decode):
+    def __init__(self, spec, code, encode=None, decode=None, subfield=None):
         self.spec = spec
         self.code = code
-        self.field = field
-        self.n = n
-        self.k = k
-        self.encode = encode
-        self.decode = decode
+        self.field = code.field
+        self.n = code.n
+        self.k = code.k
+        self.encode = encode or code.encode
+        self.decode = decode or code.decode
+        self.subfield = subfield
 
 
 def _parse_symbols(field, text: str):
@@ -157,13 +153,17 @@ def load_code_file(path: str):
     return fld, rows
 
 
-def _int(params, key, default=None):
+def _param(params, key):
     if key not in params:
-        if default is None:
-            raise SpecError(f"missing parameter {key!r}")
+        raise SpecError(f"missing parameter {key!r}")
+    return params[key]
+
+
+def _int(params, key, default=None):
+    if key not in params and default is not None:
         return default
     try:
-        return int(params[key])
+        return int(_param(params, key))
     except ValueError as exc:
         raise SpecError(f"bad integer for {key!r}: {params[key]!r}") from exc
 
@@ -178,6 +178,12 @@ def _gf2():
     return _GF2
 
 
+def _field(params, default=None):
+    if "field" not in params and default is not None:
+        return default
+    return parse_field(_param(params, "field"))
+
+
 def build(spec) -> BuiltCode:
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -185,23 +191,17 @@ def build(spec) -> BuiltCode:
     family = spec.family
 
     if family == "hamming":
-        ham = HammingCode(_int(params, "r"))
-        return BuiltCode(spec, ham, _gf2(), ham.n, ham.k,
-                         lambda u, systematic=True: ham.encode(u),
-                         lambda w, erasures=(): ham.decode(w))
+        return BuiltCode(spec, HammingCode(_int(params, "r")))
 
     if family in ("golay23", "golay24"):
-        g = GolayCode("G23" if family == "golay23" else "G24")
-        return BuiltCode(spec, g, _gf2(), g.n, g.k,
-                         lambda u, systematic=True: g.encode(u),
-                         lambda w, erasures=(): g.decode(w))
+        return BuiltCode(spec, GolayCode("G23" if family == "golay23" else "G24"))
 
     if family == "linear":
         if "file" in params:
             fld, rows = load_code_file(params["file"])
             code = LinearCode.from_generator(fld, MatrixGF(fld, rows))
         else:
-            fld = parse_field(params["field"]) if "field" in params else _gf2()
+            fld = _field(params, _gf2())
             if "rows" in params:
                 rows = [_parse_symbols(fld, r) for r in params["rows"].split(";")]
                 code = LinearCode.from_generator(fld, MatrixGF(fld, rows))
@@ -211,86 +211,48 @@ def build(spec) -> BuiltCode:
                 code = LinearCode.from_parity(fld, MatrixGF(fld, rows))
             else:
                 raise SpecError("linear codes need rows=, parity= or file=")
-        array = StandardArray(code)
-        return BuiltCode(spec, code, fld, code.n, code.k,
-                         lambda u, systematic=True: code.encode(u),
-                         lambda w, erasures=(): array.decode(as_received(w, erasures)))
+        return BuiltCode(spec, code)
 
     if family == "cyclic":
-        fld = parse_field(params["field"]) if "field" in params else _gf2()
-        n = _int(params, "n")
-        g = Poly(fld, _parse_symbols(fld, params["g"]))
-        code = CyclicCode(fld, n, g)
-        lin = LinearCode.from_generator(fld, code.matrices()[0])
-        array = StandardArray(lin)
-
-        def decode(w, erasures=()):
-            out = array.decode(as_received(w, erasures))
-            # systematic encoding keeps the message in the first k
-            # coordinates; report that rather than the shift-basis label
-            return DecodeOutcome(
-                out.verdict, codeword=out.codeword,
-                error_vector=out.error_vector,
-                error_positions=out.error_positions,
-                info=out.codeword[: code.k],
-            )
-
-        def encode(u, systematic=True):
-            return code.encode(u, systematic=systematic)
-
-        return BuiltCode(spec, code, fld, code.n, code.k, encode, decode)
+        fld = _field(params, _gf2())
+        g = Poly(fld, _parse_symbols(fld, _param(params, "g")))
+        return BuiltCode(spec, CyclicCode(fld, _int(params, "n"), g))
 
     if family == "rs":
-        fld = parse_field(params["field"]) if "field" in params else None
-        if fld is None:
-            raise SpecError("rs codes need field=GF(...)")
-        code = RSCode(fld, _int(params, "n"), _int(params, "k"),
+        code = RSCode(_field(params), _int(params, "n"), _int(params, "k"),
                       m0=_int(params, "m0", 1),
-                      shorten_by=_int(params, "shorten", 0))
-        use_pgz = params.get("decoder", "euclid") == "pgz"
-
-        def decode(w, erasures=()):
-            if use_pgz:
-                return code.pgz_decode(w, erasures)
-            return code.euclid_decode(w, erasures)
-
-        return BuiltCode(spec, code, fld, code.n_out, code.k_out,
-                         code.encode, decode)
+                      shorten_by=_int(params, "shorten", 0),
+                      decoder=params.get("decoder", "euclid"))
+        return BuiltCode(spec, code)
 
     if family == "bch":
-        fld = parse_field(params["field"]) if "field" in params else None
-        if fld is None:
-            raise SpecError("bch codes need field=GF(...)")
-        code = BCHCode(fld, _int(params, "sub", 2), _int(params, "d"),
+        code = BCHCode(_field(params), _int(params, "sub", 2), _int(params, "d"),
                        m0=_int(params, "m0", 1))
-        return BuiltCode(spec, code, fld, code.n, code.k,
-                         code.encode,
-                         lambda w, erasures=(): code.decode(w, erasures))
+        return BuiltCode(spec, code, subfield=code.subfield)
 
     if family == "interleaved":
-        base = build(params["base"])
-        code = InterleavedCode(base.code, _int(params, "depth"))
-        return BuiltCode(spec, code, base.field, code.total_n, code.total_k,
-                         lambda u, systematic=True: code.encode(u),
-                         lambda w, erasures=(): code.decode(w, erasures))
+        base = build(_param(params, "base"))
+        return BuiltCode(spec, InterleavedCode(base.code, _int(params, "depth")))
 
     if family == "product":
-        outer = build(params["outer"])
-        inner = build(params["inner"])
-        code = ProductCode(outer.code, inner.code)
+        code = ProductCode(build(_param(params, "outer")).code,
+                           build(_param(params, "inner")).code)
 
-        def encode(u, systematic=True):
+        def encode(u):
             u = tuple(u)
+            if len(u) != code.k:
+                raise LengthMismatch(f"message length {len(u)} != {code.k}")
             rows = [u[i * code.k2:(i + 1) * code.k2] for i in range(code.k1)]
             return code.serialize(code.encode(rows))
 
         def decode(w, erasures=(), rerun_inner=False, max_inner_errors=None):
+            if erasures:
+                raise SpecError("product codes take no erasures")
             policy = ProductDecodePolicy(
                 max_inner_errors=max_inner_errors, rerun_inner=rerun_inner
             )
             return code.decode(code.deserialize(w), policy)
 
-        return BuiltCode(spec, code, outer.field,
-                         code.n1 * code.n2, code.k1 * code.k2, encode, decode)
+        return BuiltCode(spec, code, encode, decode)
 
     raise SpecError(f"unknown family {family!r}")

@@ -4,10 +4,11 @@ exhaustive enumeration of the cyclic codes of a given small length."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from .errors import DegreeTooHigh, NotADivisor, TooLarge
-from .linear import MatrixGF
+from .linear import DecodeOutcome, LinearCode, MatrixGF
 from .poly import Poly, factorize
 
 MAX_ENUM_LENGTH = 32
@@ -35,6 +36,7 @@ class CyclicCode:
         self.g = g
         self.h = quo
         self.k = n - int(g.degree) if g.degree >= 0 else n
+        self._linear = None
 
     def _as_info_poly(self, u) -> Poly:
         u = u if isinstance(u, Poly) else Poly(self.field, u)
@@ -62,6 +64,15 @@ class CyclicCode:
         h_rev = self.h.reversed_coeffs()
         h_rows = [h_rev.shift(j).to_vector(self.n) for j in range(self.n - self.k)]
         return MatrixGF(self.field, g_rows), MatrixGF(self.field, h_rows)
+
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Coset-leader decoding of the shift-basis linear code, built
+        on first use.  Systematic encoding keeps the message in the
+        first k coordinates, so that is the reported info."""
+        if self._linear is None:
+            self._linear = LinearCode.from_generator(self.field, self.matrices()[0])
+        out = self._linear.decode(word, erasures)
+        return replace(out, info=out.codeword[: self.k])
 
     def contains(self, word) -> bool:
         return (Poly(self.field, word) % self.g).is_zero

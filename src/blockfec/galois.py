@@ -7,15 +7,14 @@ usual bitmask integers and addition a XOR.  Multiplication goes through
 the log/antilog tables of a primitive element, so the defining
 polynomial must be primitive, not merely irreducible.
 
-The helpers at module level work on polynomials over the prime field
-GF(p) represented as lists of ints (lowest degree first); they are used
-to validate and search defining polynomials before a field exists.
+The module-level checks on defining polynomials take coefficient lists
+over the prime field GF(p), lowest degree first, and run on `Poly`
+over the table-backed prime field.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     OrderMismatch,
     TooLarge,
 )
-from .poly import Poly
+from .poly import Poly, is_irreducible_poly, monic_polys
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -54,83 +53,32 @@ def is_prime(m: int) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Polynomials over GF(p): lists of ints, lowest degree first.
-# ----------------------------------------------------------------------
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    a = _trim(a)
-    b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b) and rem:
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
-        quo[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
-        rem = _trim(rem)
-    return _trim(quo), rem
-
-
-def _monic_polys(p, deg):
-    """All monic degree-`deg` polynomials over GF(p), lexicographic in
-    their low-first coefficient vector."""
-    for lows in product(range(p), repeat=deg):
-        yield list(lows) + [1]
-
-
 def is_irreducible(f, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    f = _trim(f)
-    if len(f) - 1 < 1:
-        return False
-    for d in range(1, (len(f) - 1) // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _pdivmod(f, g, p)[1]:
-                return False
-    return True
+    """Trial division by every monic polynomial of degree <= deg(f)/2;
+    f is a coefficient list over GF(p), lowest degree first."""
+    return is_irreducible_poly(Poly(GF(p), f))
 
 
 def _order_of_x(f, p: int) -> int:
     """Multiplicative order of x modulo the irreducible polynomial f."""
-    one = [1]
-    acc = [0, 1]  # x
+    f = Poly(GF(p), f)
+    one = Poly.one(f.field)
+    acc = Poly.monomial(f.field, 1) % f
     order = 1
-    while _trim(acc) != one:
-        acc = _pdivmod(_pmul(acc, [0, 1], p), f, p)[1]
+    while acc != one:
+        acc = acc.shift(1) % f
         order += 1
-        if order > p ** (len(f) - 1):
-            raise NotIrreducible(f"{f} has no well-defined order; not irreducible")
+        if order > p ** f.degree:
+            raise NotIrreducible(f"{list(f.coeffs)} has no well-defined order; "
+                                 "not irreducible")
     return order
 
 
 def is_primitive(f, p: int) -> bool:
     """True iff the residue class of x mod f generates the whole
     multiplicative group.  Requires f irreducible."""
-    nu = len(_trim(f)) - 1
-    return _order_of_x(_trim(f), p) == p**nu - 1
+    nu = Poly(GF(p), f).degree
+    return _order_of_x(f, p) == p**nu - 1
 
 
 def default_modulus(p: int, nu: int):
@@ -138,11 +86,11 @@ def default_modulus(p: int, nu: int):
     to the lexicographically smallest one by coefficient vector."""
     if (p, nu) in _DEFAULT_MODULUS:
         return _DEFAULT_MODULUS[(p, nu)]
-    for f in _monic_polys(p, nu):
-        if f[0] == 0:
+    for f in monic_polys(GF(p), nu):
+        if f.coeffs[0] == 0:
             continue  # divisible by x
-        if is_irreducible(f, p) and is_primitive(f, p):
-            return tuple(f)
+        if is_irreducible_poly(f) and is_primitive(f.coeffs, p):
+            return f.coeffs
     raise NotPrimitive(f"no primitive polynomial of degree {nu} over GF({p})")
 
 
@@ -197,12 +145,14 @@ class FiniteField:
                 raise ValueError(f"modulus must be monic of degree {nu}")
             if not is_irreducible(list(modulus), p):
                 raise NotIrreducible(f"{list(modulus)} factors over GF({p})")
-            if not is_primitive(list(modulus), p):
+            self.modulus = modulus
+            exp = self._build_exp_table()
+            # the table lists x^i mod f: x is primitive iff it does not
+            # return to 1 before q - 1 steps
+            if 1 in exp[1:]:
                 raise NotPrimitive(
                     f"{list(modulus)} is irreducible but not primitive"
                 )
-            self.modulus = modulus
-            exp = self._build_exp_table()
 
         self._exp = exp
         log = [None] * q
@@ -467,7 +417,8 @@ def minimal_polynomial(field: FiniteField, beta: int, q_sub: int) -> Poly:
     cls = conjugacy_class(field, beta, q_sub)
     f = Poly.from_roots(field, cls)
     members = subfield_elements(field, q_sub)
-    assert all(c in members for c in f.coeffs), "conjugate product left subfield"
+    if any(c not in members for c in f.coeffs):
+        raise InvalidSubfield(f"conjugate product {f!r} left GF({q_sub})")
     return f
 
 
@@ -487,7 +438,8 @@ def factor_cyclotomic(field: FiniteField, q_sub: int):
     for f in factors:
         prod = prod * f
     target = Poly.monomial(field, field.q - 1) - Poly.one(field)
-    assert prod == target, "cyclotomic factors do not multiply back"
+    if prod != target:
+        raise InvalidSubfield("cyclotomic factors do not multiply back")
     return factors
 
 

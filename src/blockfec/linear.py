@@ -295,6 +295,7 @@ class LinearCode:
         if any(any(row) for row in zero.rows):
             raise ValueError("G H^T != 0")
         self._d = None
+        self._array = None
 
     @classmethod
     def from_generator(cls, field, rows) -> "LinearCode":
@@ -331,6 +332,13 @@ class LinearCode:
 
     def contains(self, word) -> bool:
         return not any(self.syndrome(word))
+
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Coset-leader decoding through the standard array, built on
+        first use.  Erased symbols are read as zeros."""
+        if self._array is None:
+            self._array = StandardArray(self)
+        return self._array.decode(as_received(word, erasures))
 
     def message_of(self, codeword):
         """Invert the encoding: the message u with u G = codeword.

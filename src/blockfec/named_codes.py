@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import LengthMismatch
 from .galois import FiniteField
-from .linear import DecodeOutcome, LinearCode, MatrixGF
+from .linear import DecodeOutcome, LinearCode, MatrixGF, as_received
 
 _GF2 = FiniteField(2)
 
@@ -24,6 +24,7 @@ class HammingCode:
         if r < 2:
             raise ValueError("need r >= 2")
         self.r = r
+        self.field = _GF2
         n = (1 << r) - 1
         cols = [[(i >> (r - 1 - b)) & 1 for i in range(1, n + 1)] for b in range(r)]
         H = MatrixGF(_GF2, cols)
@@ -33,9 +34,10 @@ class HammingCode:
     def encode(self, u):
         return self.code.encode(u)
 
-    def decode(self, word) -> DecodeOutcome:
-        """Any syndrome is a position, so this never fails."""
-        word = tuple(word)
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Any syndrome is a position, so this never fails.  Erased
+        symbols are read as zeros."""
+        word = as_received(word, erasures).symbols
         if len(word) != self.n:
             raise LengthMismatch(f"word length {len(word)} != {self.n}")
         s = self.code.syndrome(word)
@@ -85,8 +87,10 @@ def _rot_right(v, i):
 def _validate_p():
     p0 = _P[0][:11]
     for i, row in enumerate(_P):
-        assert row[:11] == _rot_right(p0, i), f"row {i} breaks rotation structure"
-        assert row[11] == 1, "last column must be all ones"
+        if row[:11] != _rot_right(p0, i):
+            raise ValueError(f"row {i} breaks rotation structure")
+        if row[11] != 1:
+            raise ValueError("last column must be all ones")
 
 
 _validate_p()
@@ -119,6 +123,7 @@ class GolayCode:
         if variant not in ("G23", "G24"):
             raise ValueError("variant must be 'G23' or 'G24'")
         self.variant = variant
+        self.field = _GF2
         self.P = MatrixGF(_GF2, _P)
         self.Q = MatrixGF(_GF2, _Q)
         self.H1 = MatrixGF(_GF2, [r + e for r, e in
@@ -143,8 +148,9 @@ class GolayCode:
         word24 = self.H2.mul_vec(u)
         return word24 if self.variant == "G24" else word24[:23]
 
-    def decode(self, word) -> DecodeOutcome:
-        word = tuple(word)
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Erased symbols are read as zeros."""
+        word = as_received(word, erasures).symbols
         if self.variant == "G24":
             return golay24_decode(word)
         return golay23_decode(word)

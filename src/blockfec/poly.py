@@ -90,6 +90,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

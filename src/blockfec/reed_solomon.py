@@ -54,23 +54,37 @@ class RSCode:
     """[n, k] Reed-Solomon code over GF(q) with n | q - 1, root offset
     m0, and optional shortening by `shorten_by` information symbols.
 
-    Shortened codes expose length n - shorten_by; internally the
-    suppressed zeros sit at positions k - shorten_by .. k - 1, between
-    the information block and the redundancy.
+    `n` and `k` are the transmitted lengths n - shorten_by and
+    k - shorten_by (`n_out`/`k_out` are aliases).  Internally the
+    suppressed zeros sit at positions k - shorten_by .. k - 1 of the
+    full-length code, between the information block and the redundancy;
+    error vectors and positions use that full-length indexing.
+
+    `decode` runs the key-equation solver named by `decoder`, "euclid"
+    or "pgz"; `euclid_decode` and `pgz_decode` name it explicitly.
     """
 
-    def __init__(self, field, n: int, k: int, m0: int = 1, shorten_by: int = 0):
+    DECODERS = ("euclid", "pgz")
+
+    def __init__(self, field, n: int, k: int, m0: int = 1, shorten_by: int = 0,
+                 decoder: str = "euclid"):
         if n < 2 or (field.q - 1) % n != 0:
             raise InvalidParams(f"n = {n} must divide q - 1 = {field.q - 1}")
         if not 0 < k < n:
             raise InvalidParams(f"need 0 < k < n, got [{n},{k}]")
         if not 0 <= shorten_by < k:
             raise InvalidParams(f"bad shortening {shorten_by}")
+        if decoder not in self.DECODERS:
+            raise InvalidParams(f"decoder must be one of {self.DECODERS}, "
+                                f"got {decoder!r}")
         self.field = field
-        self.n = n
-        self.k = k
+        self._full_n = n
+        self._full_k = k
+        self.n = n - shorten_by
+        self.k = k - shorten_by
         self.m0 = m0
         self.shorten_by = shorten_by
+        self.decoder = decoder
         self.beta = field.exp((field.q - 1) // n)
         self.g = Poly.from_roots(
             field, [field.pow(self.beta, m0 + i) for i in range(n - k)]
@@ -81,20 +95,21 @@ class RSCode:
 
     @property
     def n_out(self) -> int:
-        return self.n - self.shorten_by
+        return self.n
 
     @property
     def k_out(self) -> int:
-        return self.k - self.shorten_by
+        return self.k
 
     @property
     def d(self) -> int:
         return self.n - self.k + 1
 
     def parity_matrix(self) -> MatrixGF:
+        """Parity-check matrix of the full-length code."""
         f = self.field
         rows = [
-            [f.pow(self.beta, (self.m0 + j) * i) for i in range(self.n)]
+            [f.pow(self.beta, (self.m0 + j) * i) for i in range(self._full_n)]
             for j in range(self.n - self.k)
         ]
         return MatrixGF(f, rows)
@@ -104,29 +119,26 @@ class RSCode:
     def _expand_word(self, w: ReceivedWord) -> ReceivedWord:
         """Insert the suppressed zero symbols of a shortened code."""
         l = self.shorten_by
-        if len(w) != self.n_out:
-            raise LengthMismatch(f"word length {len(w)} != {self.n_out}")
+        if len(w) != self.n:
+            raise LengthMismatch(f"word length {len(w)} != {self.n}")
         if l == 0:
             return w
-        cut = self.k - l
+        cut = self.k
         symbols = w.symbols[:cut] + (0,) * l + w.symbols[cut:]
         erasures = frozenset(e if e < cut else e + l for e in w.erasures)
         return ReceivedWord(symbols, erasures)
 
     def _contract_word(self, symbols):
-        l = self.shorten_by
-        if l == 0:
-            return tuple(symbols)
-        cut = self.k - l
-        return tuple(symbols[:cut]) + tuple(symbols[self.k:])
+        """Drop the suppressed zero symbols of a shortened code."""
+        return tuple(symbols[: self.k]) + tuple(symbols[self._full_k:])
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, u, systematic: bool = True):
         u = tuple(u)
-        if len(u) > self.k_out:
-            raise DegreeTooHigh(f"message length {len(u)} > k = {self.k_out}")
-        u = u + (0,) * (self.k_out - len(u))
+        if len(u) > self.k:
+            raise DegreeTooHigh(f"message length {len(u)} > k = {self.k}")
+        u = u + (0,) * (self.k - len(u))
         if self.shorten_by and not systematic:
             raise InvalidParams(
                 "shortened codes only support systematic encoding"
@@ -150,6 +162,12 @@ class RSCode:
         return Poly(f, coeffs)
 
     # -- decoding ---------------------------------------------------------------
+
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Decode with the solver chosen at construction."""
+        if self.decoder == "pgz":
+            return self.pgz_decode(word, erasures)
+        return self.euclid_decode(word, erasures)
 
     def pgz_decode(self, word, erasures=()) -> DecodeOutcome:
         return self._decode(word, erasures, solver=self._solve_pgz)
@@ -182,7 +200,7 @@ class RSCode:
         locator = sigma * sigma2
         # chien search over all positions
         roots = {}
-        for i in range(self.n):
+        for i in range(self._full_n):
             x = f.pow(self.beta, -i)
             if locator(x) == 0:
                 roots[i] = x
@@ -221,12 +239,12 @@ class RSCode:
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
         fixed = list(w.symbols)
-        err = [0] * self.n
+        err = [0] * self._full_n
         for i, e in values.items():
             fixed[i] = f.sub(fixed[i], e)
             err[i] = e
         # a shortened code cannot have symbols in the suppressed block
-        if any(fixed[self.k - self.shorten_by + j] for j in range(self.shorten_by)):
+        if any(fixed[self.k:self._full_k]):
             return DecodeOutcome.failure()
         codeword = self._contract_word(fixed)
         return DecodeOutcome(
@@ -234,7 +252,7 @@ class RSCode:
             codeword=codeword,
             error_vector=tuple(err),
             error_positions=tuple(sorted(set(values) | w.erasures)),
-            info=codeword[: self.k_out],
+            info=codeword[: self.k],
             key_state=state,
         )
 

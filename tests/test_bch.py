@@ -166,3 +166,39 @@ def test_true_distance_can_exceed_designed(gf8):
     r = (1, 1, 0, 1, 0, 1, 1)  # repetition word with two flips
     out = code.decode(r)
     assert out.corrected and out.codeword == (1,) * 7
+
+
+def test_exhaustive_bounded_distance_decoding(gf16):
+    # every binary received word of the [15,5,7] code: corrected iff it
+    # lies within distance 3 of a codeword, and then to that codeword
+    from itertools import product as iproduct
+
+    code = BCHCode(gf16, 2, 7)
+    nearest = {}
+    for u in iproduct((0, 1), repeat=5):
+        c = code.encode(u)
+        for w in range(4):
+            for flips in combinations(range(15), w):
+                r = list(c)
+                for p in flips:
+                    r[p] ^= 1
+                nearest[tuple(r)] = c
+    assert len(nearest) == 32 * (1 + 15 + 105 + 455)  # the spheres are disjoint
+    for word in iproduct((0, 1), repeat=15):
+        out = code.decode(word)
+        assert out.corrected == (word in nearest), word
+        if out.corrected:
+            assert out.codeword == nearest[word] and out.info == nearest[word][:5]
+
+
+def test_erasures_never_raise(gf16):
+    # a correction outside GF(2) used to raise SubfieldViolation
+    code = BCHCode(gf16, 2, 7)
+    rng = random.Random(11)
+    for _ in range(3000):
+        word = tuple(rng.randrange(2) for _ in range(15))
+        erasures = rng.sample(range(15), rng.randint(1, 7))
+        out = code.decode(word, erasures=erasures)
+        if out.corrected:
+            assert all(x in (0, 1) for x in out.codeword)
+            assert code.rs.syndromes(out.codeword).is_zero

@@ -317,3 +317,41 @@ def test_dvd_scale_smoke():
         c[pos] = f256.add(c[pos], rng.randrange(1, 256))
     out = outer.euclid_decode(tuple(c))
     assert out.corrected and out.info == u
+
+
+# -- product encoding and the codeword guarantee ------------------------------
+
+def _column_first(pc, info):
+    """Encode the columns of the info array, then every row."""
+    cols = [pc.outer.encode(col) for col in zip(*info)]
+    return tuple(pc.inner.encode(row) for row in zip(*cols))
+
+
+@pytest.mark.parametrize("pair", ["rs", "hamming_golay"])
+def test_product_encode_matches_column_first(gf8, pair):
+    from blockfec import GolayCode, HammingCode
+
+    if pair == "rs":
+        pc, q = ProductCode(RSCode(gf8, 7, 3), RSCode(gf8, 7, 5)), 8
+    else:
+        pc, q = ProductCode(HammingCode(3), GolayCode("G24")), 2
+    rng = random.Random(pair)
+    for _ in range(20):
+        info = [tuple(rng.randrange(q) for _ in range(pc.k2)) for _ in range(pc.k1)]
+        assert pc.encode(info) == _column_first(pc, info)
+
+
+def test_product_beyond_capability_emits_no_noncodeword():
+    # a 12-symbol burst from position 5 that stage 2 used to "correct"
+    # into an array whose rows are not inner codewords
+    from blockfec.codespec import build
+
+    built = build("product:outer={rs:field=GF(2^3)[1,1,0,1],n=7,k=3},"
+                  "inner={rs:field=GF(2^3)[1,1,0,1],n=7,k=5}")
+    msg = (0, 5, 3, 4, 6, 1, 2, 5, 2, 7, 1, 7, 7, 2, 1)
+    burst = (3, 5, 4, 7, 3, 1, 3, 5, 5, 7, 7, 3)
+    err = (0,) * 5 + burst + (0,) * (49 - 5 - len(burst))
+    sent = built.encode(msg)
+    out = built.decode(tuple(c ^ e for c, e in zip(sent, err)))
+    if out.corrected:
+        assert built.encode(out.info) == out.codeword

@@ -341,3 +341,40 @@ def test_analyze(capsys):
     assert status == 0
     assert "singleton_met=True" in out
     assert "efficiency=1" in out
+
+
+PRODUCT = ("product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},"
+           "inner={rs:field=GF(2^3)[1,1,0,1],k=5,n=7}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # parts over different fields
+        ("encode", "--code",
+         "product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},inner={golay24}",
+         "--message", ",".join(["a1"] * 36)),
+        # a product is not a part of a composition
+        ("encode", "--code", f"interleaved:depth=2,base={{{PRODUCT}}}",
+         "--message", ",".join(["0"] * 30)),
+        ("encode", "--code", f"product:outer={{{PRODUCT}}},inner={{{RS73}}}",
+         "--message", ",".join(["0"] * 45)),
+        # unknown RS decoder
+        ("decode", "--code", RS73 + ",decoder=bogus",
+         "--received", "0,0,0,0,0,0,0"),
+        # product decoding takes no erasures
+        ("decode", "--code", PRODUCT, "--received", ",".join(["0"] * 49),
+         "--erasures", "3"),
+        # no non-systematic encoder
+        ("encode", "--code", "hamming:r=3", "--message", "1,0,1,1",
+         "--nonsystematic"),
+        # a nested code that is missing
+        ("encode", "--code", "interleaved:depth=2", "--message", "0"),
+    ],
+    ids=["mixed-fields", "product-in-interleaved", "product-in-product",
+         "unknown-decoder", "product-erasures", "no-nonsystematic", "missing-base"],
+)
+def test_bad_compositions_and_specs_exit_1(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 1
+    assert err.startswith("error: ") and "Traceback" not in err

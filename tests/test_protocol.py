@@ -1,0 +1,151 @@
+"""Every family implements one protocol -- field, n, k, encode(u) and
+decode(word, erasures=()) -> DecodeOutcome, in transmitted coordinates --
+so each composes as the base of an interleave and as either part of a
+product code."""
+
+import random
+
+import pytest
+
+from blockfec import FiniteField, RSCode, monte_carlo
+from blockfec.cli import main
+from blockfec.codespec import build
+
+GF8 = "GF(2^3)[1,1,0,1]"
+GF16 = "GF(2^4)[1,1,0,0,1]"
+
+# name: (spec, errors, erasures, partner).  Any `errors` error positions
+# plus any `erasures` erased positions are within the code's guaranteed
+# capability; erasures only for families whose decoders use them.  The
+# partner is a code over the same alphabet that pairs with it in a
+# product; every partner corrects one error.
+HAMMING7 = "hamming:r=3"
+RS75 = f"rs:field={GF8},n=7,k=5"
+CASES = {
+    "linear": ("linear:rows=1.0.0.1.1;0.1.1.1.0", 1, 0, HAMMING7),
+    "hamming": (HAMMING7, 1, 0, HAMMING7),
+    "golay23": ("golay23", 3, 0, HAMMING7),
+    "golay24": ("golay24", 3, 0, HAMMING7),
+    "cyclic": ("cyclic:n=7,g=1.1.0.1", 1, 0, HAMMING7),
+    "rs": (f"rs:field={GF8},n=7,k=3", 1, 2, RS75),
+    "rs_shortened": (f"rs:field={GF16},n=15,k=9,shorten=5", 2, 2,
+                     f"rs:field={GF16},n=15,k=13"),
+    "rs_pgz": (f"rs:field={GF8},n=7,k=3,decoder=pgz", 1, 2, RS75),
+    "bch": (f"bch:field={GF16},sub=2,d=7", 2, 2, f"bch:field={GF16},sub=2,d=3"),
+    # one error and two erasures anywhere leave each column of the
+    # RS(7,3) interleave within 2t + s <= 4
+    "interleaved": (f"interleaved:depth=2,base={{rs:field={GF8},n=7,k=3}}", 1, 2,
+                    RS75),
+}
+TRIALS = 12
+
+
+class Channel:
+    """Random messages and corruptions over one code's alphabet (the
+    subfield, for BCH codes and their compositions)."""
+
+    def __init__(self, name, built):
+        base = build(CASES[name][0]).code
+        self.rng = random.Random(f"{name}:{built.spec.render()}")
+        self.built = built
+        self.alphabet = sorted(getattr(base, "subfield", base.field.elements()))
+
+    def send(self):
+        u = tuple(self.rng.choice(self.alphabet) for _ in range(self.built.k))
+        return u, self.built.encode(u)
+
+    def hit(self, word, positions):
+        """Add a nonzero symbol at each position."""
+        nonzero = [a for a in self.alphabet if a]
+        for p in positions:
+            word[p] = self.built.field.add(word[p], self.rng.choice(nonzero))
+
+    def erase(self, word, positions):
+        for p in positions:
+            word[p] = self.rng.choice(self.alphabet)
+
+    def check(self, word, erasures, u, c):
+        out = self.built.decode(tuple(word), erasures)
+        assert out.corrected
+        assert tuple(out.codeword) == tuple(c)
+        assert tuple(out.info) == u
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_standalone(name):
+    spec, t, s, _ = CASES[name]
+    ch = Channel(name, build(spec))
+    for _ in range(TRIALS):
+        u, c = ch.send()
+        word = list(c)
+        positions = ch.rng.sample(range(ch.built.n), t + s)
+        ch.hit(word, positions[:t])
+        ch.erase(word, positions[t:])
+        ch.check(word, positions[t:], u, c)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_as_interleaved_base(name):
+    spec, t, s, _ = CASES[name]
+    depth = 3
+    ch = Channel(name, build(f"interleaved:depth={depth},base={{{spec}}}"))
+    base_n = ch.built.n // depth
+    for _ in range(TRIALS):
+        u, c = ch.send()
+        word = list(c)
+        errors, erasures = [], []
+        for j in range(depth):
+            rows = ch.rng.sample(range(base_n), t + s)
+            errors += [i * depth + j for i in rows[:t]]
+            erasures += [i * depth + j for i in rows[t:]]
+        ch.hit(word, errors)
+        ch.erase(word, erasures)
+        ch.check(word, sorted(erasures), u, c)
+
+
+def _product_trials(ch, wrecked_rows, row_errors):
+    """Wreck whole rows and put `row_errors` errors in every other row.
+    The inner decoder erases or miscorrects a wrecked row, which costs
+    each column at most one error, so `wrecked_rows` up to the outer
+    code's error capability stay within the product's."""
+    n1, n2 = ch.built.code.n1, ch.built.code.n2
+    for _ in range(TRIALS):
+        u, c = ch.send()
+        word = list(c)
+        wrecked = ch.rng.sample(range(n1), wrecked_rows)
+        for i in range(n1):
+            cols = range(n2) if i in wrecked else ch.rng.sample(range(n2), row_errors)
+            ch.hit(word, [i * n2 + j for j in cols])
+        ch.check(word, (), u, c)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_as_product_outer(name):
+    spec, t, _, partner = CASES[name]
+    ch = Channel(name, build(f"product:outer={{{spec}}},inner={{{partner}}}"))
+    _product_trials(ch, wrecked_rows=t, row_errors=1)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_as_product_inner(name):
+    spec, t, _, partner = CASES[name]
+    ch = Channel(name, build(f"product:outer={{{partner}}},inner={{{spec}}}"))
+    _product_trials(ch, wrecked_rows=1, row_errors=t)
+
+
+def test_monte_carlo_raw_shortened_rs():
+    rs = RSCode(FiniteField(2, 4), 15, 9, shorten_by=5)
+    assert (rs.n, rs.k) == (10, 4)
+    mc = monte_carlo(rs, rs.decode, 0.02, 200, seed=4)
+    assert mc["trials"] == 200 and mc["P_err_hat"] <= 0.05
+
+
+def test_monte_carlo_and_simulate_on_bch_spec(capsys):
+    spec = f"bch:field={GF16},sub=2,d=7"
+    built = build(spec)
+    mc = monte_carlo(built, built.decode, 0.05, 300, seed=2)
+    assert mc["trials"] == 300
+    status = main(["simulate", "--code", spec, "--p", "0.05",
+                   "--trials", "300", "--seed", "2"])
+    assert status == 0
+    assert "P_det: estimate=" in capsys.readouterr().out
