@@ -84,6 +84,7 @@ class InterleavedCode:
         self.base = base
         self.depth = depth
         self.field = base.field
+        self.subfield = base.subfield
         self.n = base.n * depth
         self.k = base.k * depth
 
@@ -165,6 +166,13 @@ class ProductCode:
         self.n2, self.k2 = inner.n, inner.k
         self.n = self.n1 * self.n2
         self.k = self.k1 * self.k2
+
+    @property
+    def subfield(self):
+        """The symbol alphabet the parts share."""
+        if self.outer.subfield != self.inner.subfield:
+            raise InvalidParams("the parts must share a symbol alphabet")
+        return self.outer.subfield
 
     def encode(self, info_rows):
         """info_rows: k1 x k2.  Encodes the rows, then the columns; by

@@ -4,8 +4,13 @@ Exact decoding-event probabilities come from classifying every error
 pattern through the standard array of a code (correct, miscorrected,
 or detected, per a detect-only syndrome policy) into weight histograms;
 the histograms evaluate to probabilities at any crossover p, exactly
-when p is a Fraction.  A counter-based Monte Carlo estimator provides
-the empirical counterpart.
+when p is a Fraction.
+
+`monte_carlo` is the empirical counterpart: one driver draws messages
+and noise from a counter-based Philox stream and hands each batch to a
+kernel, either the scalar decoder (one call per trial) or a binary
+standard array (table lookups over the batch).  Both kernels see the
+same draws, so for one seed they give the same estimates.
 """
 
 from __future__ import annotations
@@ -83,6 +88,21 @@ def capacity(p: float) -> float:
     return 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
 
 
+def _detect_rows(array: StandardArray, detect_syndromes) -> set:
+    """The array rows of a detect-only syndrome policy; ValueError for
+    a syndrome the array lacks and for the code row's zero syndrome."""
+    rows = set()
+    for s in detect_syndromes:
+        try:
+            row = array.row_index(s)
+        except KeyError:
+            raise ValueError(f"{tuple(s)} is not a syndrome of the code") from None
+        if row == 0:
+            raise ValueError("the code row cannot be detect-only")
+        rows.add(row)
+    return rows
+
+
 def event_polynomials(
     code: LinearCode, array: StandardArray, detect_syndromes=frozenset()
 ) -> dict:
@@ -101,18 +121,14 @@ def event_polynomials(
     - "p_err":  their average (Fraction coefficients)
     """
     n, k = code.n, code.k
-    detect_syndromes = {tuple(s) for s in detect_syndromes}
-    zero = tuple([0] * (n - k))
-    if zero in detect_syndromes:
-        raise ValueError("the code row cannot be detect-only")
-
+    detect_rows = _detect_rows(array, detect_syndromes)
     err = [0] * (n + 1)
     det = [0] * (n + 1)
     correct = [0] * (n + 1)
     bits = [[0] * (n + 1) for _ in range(k)]
 
-    for syndrome, leader, row in zip(array.syndromes, array.leaders, array.rows):
-        if syndrome in detect_syndromes:
+    for i, row in enumerate(array.rows):
+        if i in detect_rows:
             for pattern in row:
                 det[hamming_weight(pattern)] += 1
             continue
@@ -152,129 +168,99 @@ def monte_carlo(
     detect_syndromes=frozenset(),
 ) -> dict:
     """Estimate block-error, bit-error and detection probabilities by
-    transmitting random codewords through a BSC.
+    transmitting random codewords through a symmetric channel.
 
-    `decoder` is either a StandardArray (vectorized binary fast path,
-    honouring `detect_syndromes`) or a callable word -> DecodeOutcome.
-    Randomness is a Philox counter-based stream keyed by `seed` with
-    the batch index as counter, so results do not depend on how the
-    batches would be scheduled.
+    Batch b of up to 2^16 trials draws from a Philox stream keyed by
+    `seed` with counter b, in this order: the messages (uniform over
+    `code.subfield`), the noise mask (each symbol hit with probability
+    p) and the noise values (uniform nonzero symbols).  A StandardArray
+    `decoder` decodes a binary code by table lookups and honours
+    `detect_syndromes`; a callable word -> DecodeOutcome is called once
+    per trial, and its uncorrectable verdicts count as detections.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if isinstance(decoder, StandardArray):
-        return _monte_carlo_array(code, decoder, p, trials, seed, detect_syndromes)
-    return _monte_carlo_loop(code, decoder, p, trials, seed)
-
-
-def _monte_carlo_array(code, array, p, trials, seed, detect_syndromes):
-    if code.field.p != 2:
-        raise TooLarge("vectorized path supports binary codes only")
+        kernel = _array_kernel(decoder, detect_syndromes)
+    elif detect_syndromes:
+        raise ValueError("a detect policy needs a StandardArray decoder")
+    else:
+        kernel = _scalar_kernel(code, decoder)
     n, k = code.n, code.k
-    if n > 24:
-        raise TooLarge("vectorized path caps n at 24")
-
-    messages = list(array.messages)
-    cw = np.array(array.code_row, dtype=np.uint8)          # q^k x n
-    msg_arr = np.array(messages, dtype=np.uint8)           # q^k x k
-    ht = np.array(code.H.rows, dtype=np.uint8).T           # n x (n-k)
-    pow2_s = 1 << np.arange(code.n - k - 1, -1, -1, dtype=np.int64)
-
-    # syndrome value -> leader bits; detect rows flagged separately
-    leader_lut = np.zeros((1 << (n - k), n), dtype=np.uint8)
-    detect_lut = np.zeros(1 << (n - k), dtype=bool)
-    detect_set = {tuple(s) for s in detect_syndromes}
-    for s, leader in zip(array.syndromes, array.leaders):
-        idx = int(np.dot(np.array(s, dtype=np.int64), pow2_s))
-        leader_lut[idx] = leader
-        detect_lut[idx] = tuple(s) in detect_set
-    # codeword bits -> message index
-    pow2_n = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    cw_to_msg = np.full(1 << n, -1, dtype=np.int64)
-    for i, c in enumerate(array.code_row):
-        cw_to_msg[int(np.dot(np.array(c, dtype=np.int64), pow2_n))] = i
-
-    n_err = n_det = 0
-    bit_err = np.zeros(k, dtype=np.int64)
-    done = 0
-    batch_index = 0
-    while done < trials:
-        batch = min(_PHILOX_BATCH, trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, 0, batch_index])
-        )
-        sent = rng.integers(0, len(messages), size=batch)
-        noise = (rng.random((batch, n)) < p).astype(np.uint8)
-        received = cw[sent] ^ noise
-        syndrome = (received @ ht) % 2
-        syn_idx = syndrome.astype(np.int64) @ pow2_s
-        detected = detect_lut[syn_idx]
-        decoded = received ^ leader_lut[syn_idx]
-        decoded_msg = cw_to_msg[decoded.astype(np.int64) @ pow2_n]
-        wrong = (~detected) & (decoded_msg != sent)
-        n_err += int(wrong.sum())
-        n_det += int(detected.sum())
-        live = ~detected
-        if live.any():
-            diff = msg_arr[decoded_msg[live]] ^ msg_arr[sent[live]]
-            bit_err += diff.sum(axis=0, dtype=np.int64)
-        done += batch
-        batch_index += 1
-
-    p_err_hat = float(bit_err.sum()) / (k * trials)
-    out = {
-        "P_err_hat": n_err / trials,
-        "P_det_hat": n_det / trials,
-        "p_err_hat": p_err_hat,
-        "P_err_stderr": _stderr(n_err / trials, trials),
-        "P_det_stderr": _stderr(n_det / trials, trials),
-        "p_err_stderr": _stderr(p_err_hat, k * trials),
-        "trials": trials,
-        "seed": seed,
-    }
-    return out
-
-
-def _monte_carlo_loop(code, decoder, p, trials, seed):
-    n, k, fld = code.n, code.k, code.field
-    # subfield codes draw their symbols from the subfield alphabet
-    alphabet = sorted(getattr(code, "subfield", None) or fld.elements())
+    # the smallest unsigned dtype that holds every symbol keeps the
+    # batch arrays small
+    alphabet = np.array(sorted(code.subfield))
+    alphabet = alphabet.astype(np.min_scalar_type(alphabet[-1]))
     q = len(alphabet)
-    n_err = n_det = 0
-    bit_errs = 0
-    done = 0
-    batch_index = 0
-    while done < trials:
-        batch = min(_PHILOX_BATCH, trials - done)
+    n_err = n_det = bit_errs = 0
+    for batch_index, start in enumerate(range(0, trials, _PHILOX_BATCH)):
+        batch = min(_PHILOX_BATCH, trials - start)
         rng = np.random.Generator(
             np.random.Philox(key=seed, counter=[0, 0, 0, batch_index])
         )
-        msgs = rng.integers(0, q, size=(batch, k))
+        messages = alphabet[rng.integers(0, q, size=(batch, k))]
         noise_mask = rng.random((batch, n)) < p
-        noise_vals = rng.integers(1, q, size=(batch, n))
-        for b in range(batch):
-            u = tuple(alphabet[int(x)] for x in msgs[b])
-            r = list(code.encode(u))
-            for i in range(n):
-                if noise_mask[b, i]:
-                    r[i] = fld.add(r[i], alphabet[int(noise_vals[b, i])])
-            out = decoder(tuple(r))
-            if not out.corrected:
-                n_det += 1
-            else:
-                if out.info != u:
-                    n_err += 1
-                bit_errs += sum(1 for a, b2 in zip(out.info, u) if a != b2)
-        done += batch
-        batch_index += 1
-    p_err_hat = bit_errs / (k * trials)
+        noise_values = alphabet[rng.integers(1, q, size=(batch, n))]
+        detected, info = kernel(messages, noise_mask, noise_values)
+        wrong = (info != messages) & ~detected[:, None]
+        n_det += int(detected.sum())
+        n_err += int(wrong.any(axis=1).sum())
+        bit_errs += int(wrong.sum())
+
+    P_err, P_det, p_err = n_err / trials, n_det / trials, bit_errs / (k * trials)
     return {
-        "P_err_hat": n_err / trials,
-        "P_det_hat": n_det / trials,
-        "p_err_hat": p_err_hat,
-        "P_err_stderr": _stderr(n_err / trials, trials),
-        "P_det_stderr": _stderr(n_det / trials, trials),
-        "p_err_stderr": _stderr(p_err_hat, k * trials),
-        "trials": trials,
-        "seed": seed,
+        "P_err_hat": P_err, "P_det_hat": P_det, "p_err_hat": p_err,
+        "P_err_stderr": _stderr(P_err, trials),
+        "P_det_stderr": _stderr(P_det, trials),
+        "p_err_stderr": _stderr(p_err, k * trials),
+        "trials": trials, "seed": seed,
     }
+
+
+def _scalar_kernel(code, decoder):
+    """Encode, add the noise and call `decoder` once per trial."""
+    add = code.field.add
+
+    def kernel(messages, noise_mask, noise_values):
+        noise = np.where(noise_mask, noise_values, 0).tolist()
+        detected, info = [], []
+        for u, e in zip(map(tuple, messages.tolist()), noise):
+            out = decoder(tuple(
+                add(c, x) if x else c for c, x in zip(code.encode(u), e)
+            ))
+            detected.append(not out.corrected)
+            info.append(out.info if out.corrected else u)
+        return np.array(detected, dtype=bool), np.array(info)
+
+    return kernel
+
+
+def _array_kernel(array, detect_syndromes):
+    """Coset-leader decoding of a binary code by table lookups: syndrome
+    -> leader and syndrome -> detect flag, then the message through the
+    inverse of G's pivot block."""
+    code = array.code
+    if code.field.q != 2:
+        raise TooLarge("the standard-array kernel supports binary codes only")
+    n, k = code.n, code.k
+    G = np.array(code.G.rows, dtype=np.uint8)
+    Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
+    weights = 1 << np.arange(n - k - 1, -1, -1)   # syndrome bits -> index
+    row_index = (np.array(array.leaders) @ Ht & 1) @ weights
+    leader_lut = np.zeros((1 << (n - k), n), dtype=np.uint8)
+    leader_lut[row_index] = array.leaders
+    detect_lut = np.zeros(1 << (n - k), dtype=bool)
+    detect_lut[row_index[list(_detect_rows(array, detect_syndromes))]] = True
+    pivots, inv = code.pivot_inverse()
+    pivots, inv = list(pivots), np.array(inv.rows, dtype=np.uint8)
+
+    def kernel(messages, noise_mask, noise_values):
+        # a binary noise value is always 1, so the mask is the noise; the
+        # uint8 products sum at most n <= 24 terms (StandardArray caps
+        # 2^n), so they stay exact
+        received = (messages @ G & 1) ^ noise_mask
+        syndrome = (received @ Ht & 1) @ weights
+        decoded = received ^ leader_lut[syndrome]
+        return detect_lut[syndrome], decoded[:, pivots] @ inv & 1
+
+    return kernel

@@ -145,28 +145,22 @@ def cmd_array(args) -> int:
 
 
 def _simulate_once(built, detect, p, trials, seed):
-    """One (p, trials) run: Monte Carlo plus, when feasible, the exact
-    event polynomials.  Returns (mc dict, {metric: Fraction} or None)."""
-    try:
-        if built.field.p != 2 or built.field.q**built.n > (1 << 20):
-            raise TooLarge("standard-array analysis limited to small "
-                           "binary codes")
-        code = _linear_of(built)
-        array = StandardArray(code)
-        mc = monte_carlo(code, array, p, trials, seed,
-                         detect_syndromes=detect)
-        exact = event_polynomials(code, array, detect_syndromes=detect)
-        pfrac = Fraction(p).limit_denominator(10**9)
-        exact_vals = {
-            "P_err": Fraction(exact["P_err"](pfrac)),
-            "p_err": Fraction(exact["p_err"](pfrac)),
-            "P_det": Fraction(exact["P_det"](pfrac)),
-        }
-        return mc, exact_vals
-    except TooLarge:
-        print("warning: exact classification skipped (too large); "
-              "using the family decoder", file=sys.stderr)
+    """One (p, trials) run: Monte Carlo plus, for a small binary code,
+    the exact event polynomials.  Returns (mc dict, {metric: Fraction}
+    or None)."""
+    if built.field.q != 2 or built.n > 20:
+        if detect:
+            raise ValueError("a detect policy needs the standard-array path, "
+                             "which takes binary codes with n <= 20")
+        print("warning: exact classification skipped (not a binary code "
+              "with n <= 20); using the family decoder", file=sys.stderr)
         return monte_carlo(built, built.decode, p, trials, seed), None
+    code = _linear_of(built)
+    array = StandardArray(code)
+    mc = monte_carlo(code, array, p, trials, seed, detect_syndromes=detect)
+    exact = event_polynomials(code, array, detect_syndromes=detect)
+    pfrac = Fraction(p).limit_denominator(10**9)
+    return mc, {key: Fraction(exact[key](pfrac)) for key in ("P_err", "p_err", "P_det")}
 
 
 def cmd_simulate(args) -> int:
@@ -175,9 +169,12 @@ def cmd_simulate(args) -> int:
         raise ValueError("crossover probabilities must be in [0, 0.5]")
     built = build(args.code)
     detect = set()
-    if args.policy and args.policy.startswith("detect="):
+    if args.policy.startswith("detect="):
         for s in args.policy[len("detect="):].split("|"):
             detect.add(tuple(int(b) for b in s))
+    elif args.policy != "full":
+        raise ValueError(f"--policy must be 'full' or 'detect=...', "
+                         f"got {args.policy!r}")
 
     if args.format == "csv":
         print("p,metric,exact,estimate,stderr")

@@ -121,15 +121,15 @@ class BuiltCode:
     CLI: the code's own, except for a product code, whose arrays are
     serialized in row order."""
 
-    def __init__(self, spec, code, encode=None, decode=None, subfield=None):
+    def __init__(self, spec, code, encode=None, decode=None):
         self.spec = spec
         self.code = code
         self.field = code.field
+        self.subfield = code.subfield
         self.n = code.n
         self.k = code.k
         self.encode = encode or code.encode
         self.decode = decode or code.decode
-        self.subfield = subfield
 
 
 def _parse_symbols(field, text: str):
@@ -226,9 +226,8 @@ def build(spec) -> BuiltCode:
         return BuiltCode(spec, code)
 
     if family == "bch":
-        code = BCHCode(_field(params), _int(params, "sub", 2), _int(params, "d"),
-                       m0=_int(params, "m0", 1))
-        return BuiltCode(spec, code, subfield=code.subfield)
+        return BuiltCode(spec, BCHCode(_field(params), _int(params, "sub", 2),
+                                       _int(params, "d"), m0=_int(params, "m0", 1)))
 
     if family == "interleaved":
         base = build(_param(params, "base"))

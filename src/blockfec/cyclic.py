@@ -32,6 +32,7 @@ class CyclicCode:
         if not rem.is_zero:
             raise NotADivisor(f"{g!r} does not divide x^{n} - 1")
         self.field = field
+        self.subfield = field.elements()
         self.n = n
         self.g = g
         self.h = quo

@@ -296,6 +296,9 @@ class LinearCode:
             raise ValueError("G H^T != 0")
         self._d = None
         self._array = None
+        self._pivot_solver = None
+        # the symbol alphabet; BCH codes narrow it to their subfield
+        self.subfield = field.elements()
 
     @classmethod
     def from_generator(cls, field, rows) -> "LinearCode":
@@ -340,16 +343,11 @@ class LinearCode:
             self._array = StandardArray(self)
         return self._array.decode(as_received(word, erasures))
 
-    def message_of(self, codeword):
-        """Invert the encoding: the message u with u G = codeword.
-
-        Uses the pivot columns of G (G restricted to them is
-        invertible), so it works for non-systematic generators too.
-        """
-        codeword = tuple(codeword)
-        if len(codeword) != self.n:
-            raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
-        if not hasattr(self, "_pivot_solver"):
+    def pivot_inverse(self):
+        """(pivots, inv): the pivot columns of G, and the inverse of G
+        restricted to them, so u = codeword[pivots] @ inv.  Built on
+        first use; works for non-systematic generators too."""
+        if self._pivot_solver is None:
             red, pivots = self.G.rref()
             sub = self.G.select_columns(pivots)
             # invert the k x k pivot block by solving k unit systems
@@ -360,7 +358,14 @@ class LinearCode:
                 cols.append(_solve_square(f, sub.transpose().rows, unit))
             inv = MatrixGF(f, cols)  # rows are the solution vectors
             self._pivot_solver = (pivots, inv)
-        pivots, inv = self._pivot_solver
+        return self._pivot_solver
+
+    def message_of(self, codeword):
+        """Invert the encoding: the message u with u G = codeword."""
+        codeword = tuple(codeword)
+        if len(codeword) != self.n:
+            raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
+        pivots, inv = self.pivot_inverse()
         picked = tuple(codeword[p] for p in pivots)
         return inv.mul_vec(picked)
 

@@ -25,6 +25,7 @@ class HammingCode:
             raise ValueError("need r >= 2")
         self.r = r
         self.field = _GF2
+        self.subfield = _GF2.elements()
         n = (1 << r) - 1
         cols = [[(i >> (r - 1 - b)) & 1 for i in range(1, n + 1)] for b in range(r)]
         H = MatrixGF(_GF2, cols)
@@ -124,6 +125,7 @@ class GolayCode:
             raise ValueError("variant must be 'G23' or 'G24'")
         self.variant = variant
         self.field = _GF2
+        self.subfield = _GF2.elements()
         self.P = MatrixGF(_GF2, _P)
         self.Q = MatrixGF(_GF2, _Q)
         self.H1 = MatrixGF(_GF2, [r + e for r, e in

@@ -78,6 +78,7 @@ class RSCode:
             raise InvalidParams(f"decoder must be one of {self.DECODERS}, "
                                 f"got {decoder!r}")
         self.field = field
+        self.subfield = field.elements()
         self._full_n = n
         self._full_k = k
         self.n = n - shorten_by

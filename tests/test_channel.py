@@ -7,6 +7,7 @@ import pytest
 
 from blockfec import (
     GolayCode,
+    HammingCode,
     LinearCode,
     StandardArray,
     capacity,
@@ -17,6 +18,8 @@ from blockfec import (
     perr_first_term,
     round_to_places,
 )
+from blockfec.codespec import build
+from blockfec.errors import TooLarge
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
 H6 = [[0, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 1]]
@@ -213,3 +216,89 @@ def test_rounding_helper():
     assert round_to_places(Fraction(786, 1000000), 5) == Fraction(79, 100000)
     assert round_to_places(Fraction(1, 3), 5) == Fraction(33333, 100000)
     assert float(round_to_places(Fraction(1, 2), 0)) == 1.0
+
+
+# -- one Monte Carlo driver, two kernels ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1])
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("name", ["c5", "hamming15"])
+def test_array_kernel_matches_scalar_decoder(c5, arr5, name, p, seed):
+    # 70 000 trials span two Philox batches; both kernels see the same
+    # messages and noise, so whole result dicts agree
+    if name == "c5":
+        code, array, decoder = c5, arr5, c5.decode
+    else:
+        ham = HammingCode(4)
+        code, array, decoder = ham.code, StandardArray(ham.code), ham.decode
+    fast = monte_carlo(code, array, p, 70_000, seed)
+    assert fast == monte_carlo(code, decoder, p, 70_000, seed)
+    assert fast["P_err_hat"] > 0
+
+
+GF16 = "GF(2^4)[1,1,0,0,1]"
+
+
+def _pinned(P_err, P_det, p_err, P_err_se, P_det_se, p_err_se):
+    return {
+        "P_err_hat": P_err, "P_det_hat": P_det, "p_err_hat": p_err,
+        "P_err_stderr": P_err_se, "P_det_stderr": P_det_se,
+        "p_err_stderr": p_err_se, "trials": 300, "seed": 11,
+    }
+
+
+_ZERO = _pinned(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+# recorded from the per-trial loop before the two Monte Carlo paths
+# became one driver; the scalar kernel must reproduce them bit for bit
+LOOP_PINS = [
+    ("golay24", 0.05, _pinned(
+        0.01, 0.03333333333333333, 0.0030555555555555557,
+        0.005744562646538029, 0.010363754503432016, 0.0009198760689176301)),
+    ("golay24", 0.15, _pinned(
+        0.24, 0.29333333333333333, 0.08083333333333333,
+        0.024657656011875907, 0.026286174369104437, 0.004542983159516918)),
+    ("bch15", 0.05, _ZERO),
+    ("bch15", 0.15, _pinned(
+        0.08333333333333333, 0.10666666666666667, 0.03933333333333333,
+        0.015957118462605634, 0.01782216680512304, 0.005019045209481063)),
+    ("rs10", 0.05, _ZERO),
+    ("rs10", 0.3, _pinned(
+        0.006666666666666667, 0.33666666666666667, 0.005,
+        0.0046983054470813275, 0.02728383051199753, 0.0020361319538117696)),
+    ("gf4", 0.15, _pinned(
+        0.10666666666666667, 0.0, 0.08833333333333333,
+        0.01782216680512304, 0.0, 0.01158523165899554)),
+]
+
+
+@pytest.mark.parametrize("name,p,expected", LOOP_PINS)
+def test_scalar_kernel_reproduces_loop_path(name, p, expected):
+    code = {
+        "golay24": lambda: build("golay24"),
+        "bch15": lambda: build(f"bch:field={GF16},sub=2,d=7").code,
+        "rs10": lambda: build(f"rs:field={GF16},n=15,k=9,shorten=5,decoder=pgz"),
+        "gf4": lambda: build("linear:field=GF(2^2),rows=1.0.1.1;0.1.1.a2"),
+    }[name]()
+    assert monte_carlo(code, code.decode, p, 300, 11) == expected
+
+
+def test_array_kernel_rejects_nonbinary_code():
+    code = build("linear:field=GF(2^2),rows=1.0.1.1;0.1.1.a2").code
+    with pytest.raises(TooLarge):
+        monte_carlo(code, StandardArray(code), 0.1, 100, seed=1)
+
+
+def test_detect_policy_needs_standard_array(c5):
+    with pytest.raises(ValueError):
+        monte_carlo(c5, c5.decode, 0.1, 100, seed=1,
+                    detect_syndromes={(1, 1, 1)})
+
+
+@pytest.mark.parametrize("syndrome", [(1, 1), (1, 0, 1, 1), (1, 2, 1), (0, 0, 0)])
+def test_bad_detect_syndrome_rejected(c5, arr5, syndrome):
+    with pytest.raises(ValueError):
+        event_polynomials(c5, arr5, detect_syndromes={syndrome})
+    with pytest.raises(ValueError):
+        monte_carlo(c5, arr5, 0.1, 100, seed=1, detect_syndromes={syndrome})

@@ -378,3 +378,31 @@ def test_bad_compositions_and_specs_exit_1(capsys, argv):
     status, out, err = run(capsys, *argv)
     assert status == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_simulate_nonbinary_extension_field_uses_family_decoder(capsys):
+    # GF(4) has characteristic 2 but is not binary: no standard-array
+    # kernel, so simulate falls back to the family decoder
+    status, out, err = run(
+        capsys, "simulate", "--code", "linear:field=GF(2^2),rows=1.0.1.1;0.1.1.a2",
+        "--p", "0.1", "--trials", "2000", "--seed", "1",
+    )
+    assert status == 0
+    assert "P_err: estimate=" in out and "exact=" not in out
+    assert "family decoder" in err
+
+
+@pytest.mark.parametrize("code,policy", [
+    ("hamming:r=3", "bogus"),
+    ("hamming:r=3", "detect=11"),      # syndromes of hamming:r=3 have 3 bits
+    ("hamming:r=3", "detect=000"),     # the code row
+    ("golay24", "detect=111"),         # too large for the exact path
+    ("linear:field=GF(2^2),rows=1.0.1.1;0.1.1.a2", "detect=11"),
+])
+def test_simulate_never_drops_a_detect_policy(capsys, code, policy):
+    status, out, err = run(
+        capsys, "simulate", "--code", code, "--p", "0.05",
+        "--trials", "100", "--seed", "1", "--policy", policy,
+    )
+    assert status == 1
+    assert out == "" and err.startswith("error:")

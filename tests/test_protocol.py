@@ -10,6 +10,7 @@ import pytest
 from blockfec import FiniteField, RSCode, monte_carlo
 from blockfec.cli import main
 from blockfec.codespec import build
+from blockfec.errors import InvalidParams
 
 GF8 = "GF(2^3)[1,1,0,1]"
 GF16 = "GF(2^4)[1,1,0,0,1]"
@@ -149,3 +150,25 @@ def test_monte_carlo_and_simulate_on_bch_spec(capsys):
                    "--trials", "300", "--seed", "2"])
     assert status == 0
     assert "P_det: estimate=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", [
+    f"interleaved:depth=2,base={{bch:field={GF16},sub=2,d=7}}",
+    f"product:outer={{bch:field={GF16},sub=2,d=7}},inner={{bch:field={GF16},sub=2,d=3}}",
+])
+def test_monte_carlo_and_simulate_on_composed_bch(spec, capsys):
+    # the composition draws its symbols from the BCH subfield
+    built = build(spec)
+    assert built.subfield == built.code.subfield == frozenset({0, 1})
+    mc = monte_carlo(built, built.decode, 0.02, 100, seed=2)
+    assert mc["trials"] == 100
+    status = main(["simulate", "--code", spec, "--p", "0.02",
+                   "--trials", "100", "--seed", "2"])
+    assert status == 0
+    assert "P_det: estimate=" in capsys.readouterr().out
+
+
+def test_product_parts_must_share_an_alphabet():
+    with pytest.raises(InvalidParams):
+        build(f"product:outer={{bch:field={GF16},sub=2,d=7}},"
+              f"inner={{rs:field={GF16},n=15,k=13}}")
