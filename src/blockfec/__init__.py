@@ -46,7 +46,6 @@ from .linear import (
     MatrixGF,
     ReceivedWord,
     StandardArray,
-    build_standard_array,
     hamming_distance,
     hamming_weight,
     ml_decode,
@@ -80,7 +79,6 @@ __all__ = [
     "ReceivedWord",
     "RSCode",
     "StandardArray",
-    "build_standard_array",
     "burst_span",
     "capacity",
     "conjugacy_class",

@@ -32,6 +32,13 @@ EXIT_UNCORRECTABLE = 2
 _POLYNOMIAL_CODES = (CyclicCode, RSCode, BCHCode)
 
 
+def _int(flag: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not an integer") from None
+
+
 def _parse_word(field, text: str):
     seps = "," if "," in text else "."
     return tuple(field.parse_element(s) for s in text.split(seps) if s)
@@ -79,8 +86,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     built = build(args.code)
     received = _parse_word(built.field, args.received)
-    erasures = tuple(int(x) for x in args.erasures.split(",") if x) \
-        if args.erasures else ()
+    erasures = tuple(_int("--erasures", x) for x in args.erasures.split(",") if x)
     kwargs = {}
     if args.rerun_inner:
         kwargs["rerun_inner"] = True
@@ -144,25 +150,6 @@ def cmd_array(args) -> int:
     return EXIT_OK
 
 
-def _simulate_once(built, detect, p, trials, seed):
-    """One (p, trials) run: Monte Carlo plus, for a small binary code,
-    the exact event polynomials.  Returns (mc dict, {metric: Fraction}
-    or None)."""
-    if built.field.q != 2 or built.n > 20:
-        if detect:
-            raise ValueError("a detect policy needs the standard-array path, "
-                             "which takes binary codes with n <= 20")
-        print("warning: exact classification skipped (not a binary code "
-              "with n <= 20); using the family decoder", file=sys.stderr)
-        return monte_carlo(built, built.decode, p, trials, seed), None
-    code = _linear_of(built)
-    array = StandardArray(code)
-    mc = monte_carlo(code, array, p, trials, seed, detect_syndromes=detect)
-    exact = event_polynomials(code, array, detect_syndromes=detect)
-    pfrac = Fraction(p).limit_denominator(10**9)
-    return mc, {key: Fraction(exact[key](pfrac)) for key in ("P_err", "p_err", "P_det")}
-
-
 def cmd_simulate(args) -> int:
     ps = [float(x) for x in str(args.p).split(",") if x]
     if not ps or not all(0 <= p <= 0.5 for p in ps):
@@ -171,16 +158,35 @@ def cmd_simulate(args) -> int:
     detect = set()
     if args.policy.startswith("detect="):
         for s in args.policy[len("detect="):].split("|"):
-            detect.add(tuple(int(b) for b in s))
+            detect.add(tuple(_int("--policy", b) for b in s))
     elif args.policy != "full":
         raise ValueError(f"--policy must be 'full' or 'detect=...', "
                          f"got {args.policy!r}")
 
+    # a small binary code gets the standard-array kernel and the exact
+    # event polynomials, both built once for the whole sweep
+    if built.field.q != 2 or built.n > 20:
+        if detect:
+            raise ValueError("a detect policy needs the standard-array path, "
+                             "which takes binary codes with n <= 20")
+        print("warning: exact classification skipped (not a binary code "
+              "with n <= 20); using the family decoder", file=sys.stderr)
+        code, decoder, events = built, built.decode, None
+    else:
+        code = _linear_of(built)
+        decoder = StandardArray(code)
+        events = event_polynomials(code, decoder, detect_syndromes=detect)
+
     if args.format == "csv":
         print("p,metric,exact,estimate,stderr")
     for p in ps:
-        mc, exact_vals = _simulate_once(built, detect, p, args.trials,
-                                        args.seed)
+        mc = monte_carlo(code, decoder, p, args.trials, args.seed,
+                         detect_syndromes=detect)
+        exact_vals = None
+        if events is not None:
+            pfrac = Fraction(p).limit_denominator(10**9)
+            exact_vals = {key: Fraction(events[key](pfrac))
+                          for key in ("P_err", "p_err", "P_det")}
         if args.format == "csv":
             for key in ("P_err", "p_err", "P_det"):
                 exact = ("" if exact_vals is None

@@ -25,7 +25,7 @@ from .bch import BCHCode
 from .burst import InterleavedCode, ProductCode, ProductDecodePolicy
 from .cyclic import CyclicCode
 from .errors import FecError, LengthMismatch
-from .galois import FiniteField
+from .galois import FiniteField, GF
 from .linear import LinearCode, MatrixGF
 from .named_codes import GolayCode, HammingCode
 from .poly import Poly
@@ -168,16 +168,6 @@ def _int(params, key, default=None):
         raise SpecError(f"bad integer for {key!r}: {params[key]!r}") from exc
 
 
-_GF2 = None
-
-
-def _gf2():
-    global _GF2
-    if _GF2 is None:
-        _GF2 = FiniteField(2)
-    return _GF2
-
-
 def _field(params, default=None):
     if "field" not in params and default is not None:
         return default
@@ -201,7 +191,7 @@ def build(spec) -> BuiltCode:
             fld, rows = load_code_file(params["file"])
             code = LinearCode.from_generator(fld, MatrixGF(fld, rows))
         else:
-            fld = _field(params, _gf2())
+            fld = _field(params, GF(2))
             if "rows" in params:
                 rows = [_parse_symbols(fld, r) for r in params["rows"].split(";")]
                 code = LinearCode.from_generator(fld, MatrixGF(fld, rows))
@@ -214,7 +204,7 @@ def build(spec) -> BuiltCode:
         return BuiltCode(spec, code)
 
     if family == "cyclic":
-        fld = _field(params, _gf2())
+        fld = _field(params, GF(2))
         g = Poly(fld, _parse_symbols(fld, _param(params, "g")))
         return BuiltCode(spec, CyclicCode(fld, _int(params, "n"), g))
 

@@ -59,26 +59,41 @@ def is_irreducible(f, p: int) -> bool:
     return is_irreducible_poly(Poly(GF(p), f))
 
 
-def _order_of_x(f, p: int) -> int:
-    """Multiplicative order of x modulo the irreducible polynomial f."""
-    f = Poly(GF(p), f)
-    one = Poly.one(f.field)
-    acc = Poly.monomial(f.field, 1) % f
-    order = 1
-    while acc != one:
-        acc = acc.shift(1) % f
-        order += 1
-        if order > p ** f.degree:
-            raise NotIrreducible(f"{list(f.coeffs)} has no well-defined order; "
-                                 "not irreducible")
-    return order
+def _pack(coeffs, p: int) -> int:
+    """Radix-p packing of a coefficient vector, lowest degree first."""
+    val = 0
+    for c in reversed(coeffs):
+        val = val * p + (c % p)
+    return val
+
+
+def _exp_table(modulus, p: int):
+    """[x^0, x^1, ..., x^(q-2)] modulo the monic `modulus` over GF(p),
+    each packed in radix p, where q = p^deg(modulus)."""
+    nu = len(modulus) - 1
+    exp = [0] * (p**nu - 1)
+    vec = [1] + [0] * (nu - 1)
+    for i in range(len(exp)):
+        exp[i] = _pack(vec, p)
+        # multiply by x, reduce by the modulus
+        carry = vec[-1]
+        vec = [0] + vec[:-1]
+        if carry:
+            for j in range(nu):
+                vec[j] = (vec[j] - carry * modulus[j]) % p
+    return exp
 
 
 def is_primitive(f, p: int) -> bool:
     """True iff the residue class of x mod f generates the whole
-    multiplicative group.  Requires f irreducible."""
-    nu = Poly(GF(p), f).degree
-    return _order_of_x(f, p) == p**nu - 1
+    multiplicative group: x^i mod f does not return to 1 before step
+    p^deg(f) - 1.  Requires f irreducible; raises NotIrreducible when x
+    divides f, as x then never returns to 1."""
+    f = Poly(GF(p), f).monic()
+    if f.coeffs[0] == 0:
+        raise NotIrreducible(f"{list(f.coeffs)} has no well-defined order; "
+                             "not irreducible")
+    return 1 not in _exp_table(f.coeffs, p)[1:]
 
 
 def default_modulus(p: int, nu: int):
@@ -146,7 +161,7 @@ class FiniteField:
             if not is_irreducible(list(modulus), p):
                 raise NotIrreducible(f"{list(modulus)} factors over GF({p})")
             self.modulus = modulus
-            exp = self._build_exp_table()
+            exp = _exp_table(modulus, p)
             # the table lists x^i mod f: x is primitive iff it does not
             # return to 1 before q - 1 steps
             if 1 in exp[1:]:
@@ -171,35 +186,14 @@ class FiniteField:
             self._add_table = None
         self._neg_table = [self._neg_slow(a) for a in range(q)] if p != 2 else None
 
-    def _build_exp_table(self):
-        p, nu, q = self.p, self.nu, self.q
-        mod = self.modulus
-        exp = [0] * (q - 1)
-        vec = [1] + [0] * (nu - 1)
-        for i in range(q - 1):
-            exp[i] = self._pack(vec)
-            # multiply by x, reduce by the modulus
-            carry = vec[-1]
-            vec = [0] + vec[:-1]
-            if carry:
-                for j in range(nu):
-                    vec[j] = (vec[j] - carry * mod[j]) % p
-        return exp
-
     # -- element packing ------------------------------------------------
-
-    def _pack(self, coeffs) -> int:
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + (c % self.p)
-        return val
 
     def element(self, coeffs) -> int:
         """Build an element from its coefficient vector (low first)."""
         coeffs = list(coeffs)
         if len(coeffs) != self.nu:
             raise ValueError(f"need {self.nu} coefficients, got {len(coeffs)}")
-        return self._pack(coeffs)
+        return _pack(coeffs, self.p)
 
     def coeffs(self, a: int):
         """Coefficient vector (a_0, ..., a_{nu-1}) of an element."""

@@ -5,6 +5,11 @@ forms), syndrome computation, standard arrays with coset-leader
 decoding, brute-force maximum-likelihood decoding, duals, extension,
 shortening and sphere-packing bound checks.  The exhaustive tools are
 hard-capped; they are oracles for small codes, not production decoders.
+
+Every matrix job that needs elimination (rref, rank, null spaces,
+systematic forms, determinants, square solves, the codeword -> message
+inverse) runs the one Gauss-Jordan loop `_gauss_jordan`; products are
+row combinations (`MatrixGF.mul_vec`).
 """
 
 from __future__ import annotations
@@ -61,8 +66,12 @@ class ReceivedWord:
 
 
 def as_received(word, erasures=()) -> ReceivedWord:
+    """`word` as a ReceivedWord; the erasures of a word that already is
+    one are joined with `erasures`."""
     if isinstance(word, ReceivedWord):
-        return word
+        if not erasures:
+            return word
+        word, erasures = word.symbols, word.erasures.union(erasures)
     return ReceivedWord.make(word, erasures)
 
 
@@ -118,51 +127,28 @@ class MatrixGF:
         return MatrixGF(self.field, [[r[c] for c in cols] for r in self.rows])
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        f = self.field
-        bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append(
-                [
-                    _dot(f, row, col)
-                    for col in bt
-                ]
-            )
-        return MatrixGF(f, out)
+        return MatrixGF(self.field, [other.mul_vec(row) for row in self.rows])
 
     def mul_vec(self, v):
-        """Row vector times this matrix: v @ M."""
+        """Row vector times this matrix: v @ M, the combination of M's
+        rows weighted by v."""
         f = self.field
         if len(v) != len(self.rows):
             raise LengthMismatch(f"vector length {len(v)} vs {len(self.rows)} rows")
-        cols = list(zip(*self.rows))
-        return tuple(_dot(f, v, col) for col in cols)
+        acc = [0] * self.shape[1]
+        for a, row in zip(v, self.rows):
+            # zero entries add nothing; a unit weight needs no product
+            if a == 1:
+                acc = [f.add(x, y) if y else x for x, y in zip(acc, row)]
+            elif a:
+                acc = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(acc, row)]
+        return tuple(acc)
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns)."""
-        f = self.field
         rows = [list(r) for r in self.rows]
-        nrows, ncols = self.shape
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(x, inv) for x in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    factor = rows[i][c]
-                    rows[i] = [
-                        f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return MatrixGF(f, rows), tuple(pivots)
+        pivots, _ = _gauss_jordan(self.field, rows, self.shape[1])
+        return MatrixGF(self.field, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -181,33 +167,15 @@ class MatrixGF:
             for r, pc in enumerate(pivots):
                 vec[pc] = f.neg(red.rows[r][fc])
             basis.append(vec)
-        if not basis:
-            return MatrixGF(f, basis)
         return MatrixGF(f, basis).rref()[0]
 
     def det(self) -> int:
-        f = self.field
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of a non-square matrix")
         rows = [list(r) for r in self.rows]
-        det = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c]), None)
-            if pivot is None:
-                return 0
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = f.neg(det)
-            det = f.mul(det, rows[c][c])
-            inv = f.inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    factor = f.mul(rows[i][c], inv)
-                    rows[i] = [
-                        f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[c])
-                    ]
-        return det
+        pivots, d = _gauss_jordan(self.field, rows, n)
+        return d if len(pivots) == n else 0
 
     def __eq__(self, other):
         return (
@@ -223,31 +191,47 @@ class MatrixGF:
         return f"MatrixGF({self.shape[0]}x{self.shape[1]} over {self.field.spec_string()})"
 
 
-def _dot(f, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
+def _gauss_jordan(f, rows, ncols):
+    """Reduce the list rows in place to reduced row echelon form over
+    their first `ncols` columns; later columns (a right-hand side, an
+    identity block) take the same row operations.  Returns (pivot
+    columns, d), where d is the product of the pivots signed by the row
+    swaps: the determinant of a full-rank square matrix."""
+    nrows = len(rows)
+    pivots = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            d = f.neg(d)
+        d = f.mul(d, rows[r][c])
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(x, inv) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [
+                    f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+    return pivots, d
 
 
 def _solve_square(f, rows, rhs):
-    """Solve a square linear system by Gaussian elimination; None when
+    """Solve a square linear system by eliminating [A | b]; None when
     the matrix is singular."""
     n = len(rows)
     m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = f.inv(m[c][c])
-        m[c] = [f.mul(x, inv) for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                factor = m[i][c]
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    pivots, _ = _gauss_jordan(f, m, n)
+    if len(pivots) < n:
+        return None
+    return [row[n] for row in m]
 
 
 def systematic_form(G: MatrixGF):
@@ -291,7 +275,9 @@ class LinearCode:
             raise LengthMismatch(
                 f"parity matrix {H.shape} does not match [{self.n},{self.k}]"
             )
-        zero = G @ H.transpose()
+        # H^T keeps its n rows even when H has none (a full-space code)
+        self._Ht = MatrixGF(field, list(zip(*H.rows)) or [()] * self.n)
+        zero = G @ self._Ht
         if any(any(row) for row in zero.rows):
             raise ValueError("G H^T != 0")
         self._d = None
@@ -331,7 +317,7 @@ class LinearCode:
         w = as_received(word)
         if len(w) != self.n:
             raise LengthMismatch(f"word length {len(w)} != n={self.n}")
-        return tuple(_dot(self.field, w.symbols, row) for row in self.H.rows)
+        return self._Ht.mul_vec(w.symbols)
 
     def contains(self, word) -> bool:
         return not any(self.syndrome(word))
@@ -346,18 +332,15 @@ class LinearCode:
     def pivot_inverse(self):
         """(pivots, inv): the pivot columns of G, and the inverse of G
         restricted to them, so u = codeword[pivots] @ inv.  Built on
-        first use; works for non-systematic generators too."""
+        first use by eliminating [G | I], which leaves inv where I was;
+        works for non-systematic generators too."""
         if self._pivot_solver is None:
-            red, pivots = self.G.rref()
-            sub = self.G.select_columns(pivots)
-            # invert the k x k pivot block by solving k unit systems
-            f = self.field
-            identity = MatrixGF.identity(f, self.k)
-            cols = []
-            for unit in identity.rows:
-                cols.append(_solve_square(f, sub.transpose().rows, unit))
-            inv = MatrixGF(f, cols)  # rows are the solution vectors
-            self._pivot_solver = (pivots, inv)
+            f, n = self.field, self.n
+            both = self.G.hstack(MatrixGF.identity(f, self.k))
+            rows = [list(row) for row in both.rows]
+            pivots, _ = _gauss_jordan(f, rows, n)
+            inv = MatrixGF(f, [row[n:] for row in rows])
+            self._pivot_solver = (tuple(pivots), inv)
         return self._pivot_solver
 
     def message_of(self, codeword):
@@ -399,9 +382,8 @@ class LinearCode:
     def extend(self) -> "LinearCode":
         """Append an overall parity symbol (coordinates sum to zero)."""
         f = self.field
-        g_rows = [
-            row + (f.neg(_dot(f, row, [1] * self.n)),) for row in self.G.rows
-        ]
+        sums = self.G.transpose().mul_vec((1,) * self.n)
+        g_rows = [row + (f.neg(s),) for row, s in zip(self.G.rows, sums)]
         h_rows = [row + (0,) for row in self.H.rows]
         h_rows.append(tuple([1] * (self.n + 1)))
         return LinearCode(f, MatrixGF(f, g_rows), MatrixGF(f, h_rows))
@@ -495,9 +477,6 @@ class StandardArray:
             for leader in self.leaders
         ]
         self._row_of_syndrome = {s: i for i, s in enumerate(self.syndromes)}
-        self._message_of_codeword = {
-            c: u for u, c in zip(self.messages, self.code_row)
-        }
 
     def row_index(self, syndrome) -> int:
         return self._row_of_syndrome[tuple(syndrome)]
@@ -513,12 +492,8 @@ class StandardArray:
             codeword=codeword,
             error_vector=leader,
             error_positions=tuple(i for i, e in enumerate(leader) if e),
-            info=self._message_of_codeword[codeword],
+            info=self.code.message_of(codeword),
         )
-
-
-def build_standard_array(code: LinearCode) -> StandardArray:
-    return StandardArray(code)
 
 
 def ml_decode(code: LinearCode, word):

@@ -9,10 +9,10 @@ would have to coincide to go unnoticed.
 from __future__ import annotations
 
 from .errors import LengthMismatch
-from .galois import FiniteField
+from .galois import GF
 from .linear import DecodeOutcome, LinearCode, MatrixGF, as_received
 
-_GF2 = FiniteField(2)
+_GF2 = GF(2)
 
 
 class HammingCode:

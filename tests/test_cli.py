@@ -406,3 +406,40 @@ def test_simulate_never_drops_a_detect_policy(capsys, code, policy):
     )
     assert status == 1
     assert out == "" and err.startswith("error:")
+
+
+def test_simulate_sweep_builds_one_standard_array(capsys, monkeypatch):
+    import blockfec.cli as cli
+
+    builds = []
+
+    class CountingArray(cli.StandardArray):
+        def __init__(self, code):
+            builds.append(code)
+            super().__init__(code)
+
+    monkeypatch.setattr(cli, "StandardArray", CountingArray)
+    args = ("simulate", "--code", "hamming:r=3", "--trials", "3000",
+            "--seed", "5", "--policy", "detect=111")
+    singles = []
+    for p in ("0.01", "0.05", "0.1"):
+        status, out, _ = run(capsys, *args, "--p", p)
+        assert status == 0
+        singles.append(out)
+    assert len(builds) == 3
+    status, out, _ = run(capsys, *args, "--p", "0.01,0.05,0.1")
+    assert status == 0
+    assert len(builds) == 4
+    assert out == "".join(singles)
+
+
+@pytest.mark.parametrize("argv,flag,token", [
+    (("simulate", "--code", "hamming:r=3", "--p", "0.05", "--trials", "100",
+      "--seed", "1", "--policy", "detect=1a1"), "--policy", "a"),
+    (("decode", "--code", "rs:field=GF(2^3)[1,1,0,1],k=3,n=7",
+      "--received", "0,0,0,0,0,0,0", "--erasures", "1,x"), "--erasures", "x"),
+], ids=["policy-syndrome", "erasure-position"])
+def test_bad_integers_name_the_flag(capsys, argv, flag, token):
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: {flag}: ") and repr(token) in err

@@ -1,5 +1,6 @@
 """Field construction, arithmetic, conjugacy, and isomorphisms."""
 
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,30 @@ def test_irreducibility_predicate():
     assert is_primitive([1, 1, 0, 1], 2)
     assert not is_primitive([1, 1, 1, 1, 1], 2)
     assert is_primitive([2, 1, 1], 3)
+
+
+@pytest.mark.parametrize("p,nu,count", [(2, 2, 1), (2, 3, 2), (2, 4, 2), (3, 2, 2)])
+def test_is_primitive_agrees_with_field_construction(p, nu, count):
+    # over every monic irreducible f of degree nu; `count` is the number
+    # of primitive ones, phi(p^nu - 1) / nu
+    primitive = 0
+    for low in itertools.product(range(p), repeat=nu):
+        f = list(low) + [1]
+        if not is_irreducible(f, p):
+            continue
+        try:
+            FiniteField(p, nu, f)
+            constructs = True
+        except NotPrimitive:
+            constructs = False
+        assert is_primitive(f, p) == constructs
+        primitive += constructs
+    assert primitive == count
+
+
+def test_is_primitive_rejects_a_multiple_of_x():
+    with pytest.raises(NotIrreducible):
+        is_primitive([0, 1, 1], 2)   # x + x^2: x never returns to 1
 
 
 # -- arithmetic -------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from blockfec import (
+    FiniteField,
     LinearCode,
     MatrixGF,
     ReceivedWord,
@@ -17,6 +18,7 @@ from blockfec import (
     systematic_form,
 )
 from blockfec.errors import NotSystematic, RankDeficient, TooLarge
+from blockfec.linear import _solve_square
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
 H6 = [[0, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 1]]
@@ -374,3 +376,106 @@ def test_bounds_report(c5, ham74, gf2):
     assert not rep5["perfect"] and not rep5["singleton_met"]
     assert rep5["hamming_slack"] > 0
     assert c5.sphere_size(1) == 6
+
+
+def test_decode_keeps_erasures_of_a_received_word(ham74):
+    # two bit errors are beyond the code, but erasing one of them, at a
+    # position where the codeword is 0, leaves one error it corrects
+    c = ham74.encode((1, 0, 1, 1))
+    i, j = 0, 6
+    assert c[j] == 0
+    r = list(c)
+    r[i] ^= 1
+    r[j] ^= 1
+    assert ham74.decode(r).codeword != c
+    for word, erasures in [(r, [j]), (ReceivedWord.make(r), [j]),
+                           (ReceivedWord.make(r, [j]), []),
+                           (ReceivedWord.make(r, [j]), [j])]:
+        assert ham74.decode(word, erasures=erasures).codeword == c
+
+
+# -- one elimination: algebra cross-checks ---------------------------------
+
+ALGEBRA_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)]
+
+
+def _random_matrix(f, rng, nrows, ncols, singular=False):
+    rows = [[rng.randrange(f.q) for _ in range(ncols)] for _ in range(nrows)]
+    if singular:
+        # the last row a combination of two others (a zero row if none)
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        top, mid = rows[0], rows[max(nrows - 2, 0)]
+        rows[-1] = [0] * ncols if nrows == 1 else [
+            f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(top, mid)
+        ]
+    return MatrixGF(f, rows)
+
+
+@pytest.mark.parametrize("p,nu", ALGEBRA_FIELDS)
+def test_rref_is_idempotent_and_keeps_the_row_space(p, nu):
+    f = FiniteField(p, nu)
+    rng = random.Random(100 * p + nu)
+    for trial in range(40):
+        M = _random_matrix(f, rng, rng.randint(1, 5), rng.randint(1, 7),
+                           singular=trial % 3 == 0)
+        red, pivots = M.rref()
+        assert red.rref() == (red, pivots)
+        rank = len(pivots)
+        assert M.rank() == rank
+        assert not any(any(row) for row in red.rows[rank:])
+        for r, c in enumerate(pivots):
+            assert [row[c] for row in red.rows] == [int(i == r) for i in range(M.shape[0])]
+        # the reduced rows span exactly the rows of M
+        both = MatrixGF(f, M.rows + red.rows)
+        assert both.rank() == rank
+
+
+@pytest.mark.parametrize("p,nu", ALGEBRA_FIELDS)
+def test_det_is_multiplicative_and_zero_iff_singular(p, nu):
+    f = FiniteField(p, nu)
+    rng = random.Random(200 * p + nu)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        A = _random_matrix(f, rng, n, n, singular=trial % 3 == 0)
+        B = _random_matrix(f, rng, n, n, singular=trial % 5 == 0)
+        dA, dB = A.det(), B.det()
+        assert (dA == 0) == (A.rank() < n)
+        assert (A @ B).det() == f.mul(dA, dB)
+        if n > 1:
+            # one row swap flips the sign, which only odd p can see
+            swapped = MatrixGF(f, (A.rows[1], A.rows[0]) + A.rows[2:])
+            assert swapped.det() == f.neg(dA)
+    assert MatrixGF.identity(f, 4).det() == 1
+
+
+@pytest.mark.parametrize("p,nu", ALGEBRA_FIELDS)
+def test_solve_square_solves_iff_nonsingular(p, nu):
+    f = FiniteField(p, nu)
+    rng = random.Random(300 * p + nu)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        A = _random_matrix(f, rng, n, n, singular=trial % 3 == 0)
+        b = [rng.randrange(f.q) for _ in range(n)]
+        x = _solve_square(f, A.rows, b)
+        if A.det() == 0:
+            assert x is None
+        else:
+            # A x^T = b, read as the row vector x times A^T
+            assert A.transpose().mul_vec(x) == tuple(b)
+
+
+def test_message_of_inverts_nonsystematic_generators_over_gf3():
+    f = FiniteField(3)
+    rng = random.Random(7)
+    built = 0
+    while built < 20:
+        k = rng.randint(1, 4)
+        G = _random_matrix(f, rng, k, k + rng.randint(1, 3))
+        # a zero leading column keeps the pivots off the identity block
+        G = MatrixGF(f, [(0,) + row for row in G.rows])
+        if G.rank() < k:
+            continue
+        code = LinearCode.from_generator(f, G)
+        built += 1
+        for u in code.messages():
+            assert code.message_of(code.encode(u)) == u

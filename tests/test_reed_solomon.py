@@ -5,7 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from blockfec import LinearCode, Poly, RSCode, euclid_key_equation, ml_decode
+from blockfec import (
+    LinearCode,
+    Poly,
+    ReceivedWord,
+    RSCode,
+    euclid_key_equation,
+    ml_decode,
+)
 from blockfec.errors import InvalidParams
 
 
@@ -597,3 +604,18 @@ def test_ml_oracle_agrees_on_small_code(gf8):
         out = rs.euclid_decode(tuple(c))
         best, dist = ml_decode(lin, tuple(c))
         assert out.corrected and out.codeword in best
+
+
+def test_decode_keeps_erasures_of_a_received_word(gf8):
+    # three errors exceed t = 2 of RS(7,3) but are within reach as erasures
+    rs = RSCode(gf8, 7, 3)
+    c = rs.encode((gf8.exp(6), gf8.exp(2), gf8.exp(5)))
+    r = list(c)
+    for i in (0, 1, 2):
+        r[i] = gf8.add(r[i], gf8.exp(i))
+    for decode in (rs.pgz_decode, rs.euclid_decode):
+        for word, erasures in [(r, [0, 1, 2]),
+                               (ReceivedWord.make(r), [0, 1, 2]),
+                               (ReceivedWord.make(r, [0]), [1, 2])]:
+            out = decode(word, erasures=erasures)
+            assert out.corrected and out.codeword == c
