@@ -32,11 +32,13 @@ EXIT_UNCORRECTABLE = 2
 _POLYNOMIAL_CODES = (CyclicCode, RSCode, BCHCode)
 
 
-def _int(flag: str, token: str) -> int:
+def _number(flag: str, token: str, kind=int):
+    """`kind(token)`; a bad token raises a ValueError naming the flag."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise ValueError(f"{flag}: {token!r} is not an integer") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag}: {token!r} is not {noun}") from None
 
 
 def _parse_word(field, text: str):
@@ -86,7 +88,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     built = build(args.code)
     received = _parse_word(built.field, args.received)
-    erasures = tuple(_int("--erasures", x) for x in args.erasures.split(",") if x)
+    erasures = tuple(_number("--erasures", x) for x in args.erasures.split(",") if x)
     kwargs = {}
     if args.rerun_inner:
         kwargs["rerun_inner"] = True
@@ -151,14 +153,14 @@ def cmd_array(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ps = [float(x) for x in str(args.p).split(",") if x]
+    ps = [_number("--p", x, float) for x in str(args.p).split(",") if x]
     if not ps or not all(0 <= p <= 0.5 for p in ps):
         raise ValueError("crossover probabilities must be in [0, 0.5]")
     built = build(args.code)
     detect = set()
     if args.policy.startswith("detect="):
         for s in args.policy[len("detect="):].split("|"):
-            detect.add(tuple(_int("--policy", b) for b in s))
+            detect.add(tuple(_number("--policy", b) for b in s))
     elif args.policy != "full":
         raise ValueError(f"--policy must be 'full' or 'detect=...', "
                          f"got {args.policy!r}")

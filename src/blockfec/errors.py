@@ -46,6 +46,10 @@ class NotADivisor(FecError):
     """A would-be generator polynomial does not divide x^n - 1."""
 
 
+class InvalidSymbol(FecError):
+    """A word or message holds a symbol that is not a field element."""
+
+
 class DegreeTooHigh(FecError):
     """An information polynomial exceeds the code dimension."""
 

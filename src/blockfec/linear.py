@@ -20,6 +20,7 @@ from itertools import product
 
 from .errors import (
     InvalidColumns,
+    InvalidParams,
     LengthMismatch,
     NotSystematic,
     RankDeficient,
@@ -267,6 +268,8 @@ class LinearCode:
         self.field = field
         self.G = G
         self.H = H
+        if not G.rows:
+            raise InvalidParams(f"zero-dimensional code: k = 0 (n = {H.shape[1]})")
         self.k, self.n = G.shape
         if self.n == self.k:
             if H.rows:

@@ -10,13 +10,17 @@ error magnitudes through the formal derivative of the full locator.
 The root exponents may start at any offset m0; erased positions are
 zeroed before syndromes are taken.
 
-`pgz_decode` finds sigma by inverting the largest non-singular Hankel
-matrix of generalized syndromes; `euclid_decode` finds it by running
-the extended Euclidean recursion on (x^(n-k), sigma2*S) until the
-remainder degree drops below the erasure-adjusted threshold.  Both
-share the root search, value computation, and final re-verification:
-a word is only ever emitted if its error polynomial reproduces every
-syndrome, so the decoders never output a non-codeword.
+The decoders differ only in the key-equation solver, and each solver
+returns the pair (sigma, omega).  `pgz_decode` finds sigma by
+inverting the largest non-singular Hankel matrix of generalized
+syndromes (sigma = 1 when none is) and reads omega off sigma*sigma2*S;
+`euclid_decode` runs the extended Euclidean recursion on
+(x^(n-k), sigma2*S) until the remainder degree drops below the
+erasure-adjusted threshold, and takes both from its last row.  Once
+sigma and omega are known, every stage is shared: the Chien search,
+the Forney values and the final re-check.  A word is only ever emitted
+if its error polynomial reproduces every syndrome, so the decoders
+never output a non-codeword.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic import CyclicCode
-from .errors import DegreeTooHigh, InvalidParams, LengthMismatch
+from .errors import DegreeTooHigh, InvalidParams, InvalidSymbol, LengthMismatch
 from .linear import (
     DecodeOutcome,
     MatrixGF,
@@ -87,9 +91,11 @@ class RSCode:
         self.shorten_by = shorten_by
         self.decoder = decoder
         self.beta = field.exp((field.q - 1) // n)
-        self.g = Poly.from_roots(
-            field, [field.pow(self.beta, m0 + i) for i in range(n - k)]
-        )
+        # the roots beta^(m0+j) of g, where syndromes are taken, and the
+        # inverse positions beta^-i that the Chien search tries
+        self._syndrome_points = [field.pow(self.beta, m0 + j) for j in range(n - k)]
+        self._chien_points = [field.pow(self.beta, -i) for i in range(n)]
+        self.g = Poly.from_roots(field, self._syndrome_points)
         self._cyclic = CyclicCode(field, n, self.g)
 
     # -- shape ------------------------------------------------------------
@@ -117,11 +123,20 @@ class RSCode:
 
     # -- shortening plumbing ----------------------------------------------
 
+    def _check_symbols(self, symbols):
+        """Raise InvalidSymbol unless every symbol lies in range(q)."""
+        q = self.field.q
+        if min(symbols) < 0 or max(symbols) >= q:
+            bad = next(s for s in symbols if not 0 <= s < q)
+            raise InvalidSymbol(f"symbol {bad} is not in range({q})")
+
     def _expand_word(self, w: ReceivedWord) -> ReceivedWord:
-        """Insert the suppressed zero symbols of a shortened code."""
+        """Check the symbols and insert the suppressed zero symbols of a
+        shortened code."""
         l = self.shorten_by
         if len(w) != self.n:
             raise LengthMismatch(f"word length {len(w)} != {self.n}")
+        self._check_symbols(w.symbols)
         if l == 0:
             return w
         cut = self.k
@@ -139,12 +154,13 @@ class RSCode:
         u = tuple(u)
         if len(u) > self.k:
             raise DegreeTooHigh(f"message length {len(u)} > k = {self.k}")
-        u = u + (0,) * (self.k - len(u))
         if self.shorten_by and not systematic:
             raise InvalidParams(
                 "shortened codes only support systematic encoding"
             )
-        full = u + (0,) * self.shorten_by
+        # short messages and the suppressed block are zero-padded
+        full = u + (0,) * (self._full_k - len(u))
+        self._check_symbols(full)
         c = self._cyclic.encode(full, systematic=systematic)
         return self._contract_word(c) if systematic else c
 
@@ -155,12 +171,8 @@ class RSCode:
         return self._syndromes_full(self._expand_word(as_received(word)))
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
-        f = self.field
-        rpoly = Poly(f, w.symbols)
-        coeffs = [
-            rpoly(f.pow(self.beta, self.m0 + j)) for j in range(self.n - self.k)
-        ]
-        return Poly(f, coeffs)
+        rpoly = Poly(self.field, w.symbols)
+        return Poly(self.field, [rpoly(x) for x in self._syndrome_points])
 
     # -- decoding ---------------------------------------------------------------
 
@@ -190,44 +202,28 @@ class RSCode:
             return self._emit(w, {}, None)
 
         sigma2 = Poly.from_roots(
-            f, [f.pow(self.beta, -e) for e in sorted(w.erasures)]
+            f, [self._chien_points[e] for e in sorted(w.erasures)]
         )
         s_hat = sigma2 * S
-        solved = solver(s_hat, nk, t)
-        if solved is None:
-            return DecodeOutcome.failure()
-        sigma, omega_hint = solved
+        sigma, omega = solver(s_hat, nk, t)
 
         locator = sigma * sigma2
         # chien search over all positions
-        roots = {}
-        for i in range(self._full_n):
-            x = f.pow(self.beta, -i)
-            if locator(x) == 0:
-                roots[i] = x
+        roots = {i: x for i, x in enumerate(self._chien_points)
+                 if locator(x) == 0}
         if len(roots) != locator.degree:
             return DecodeOutcome.failure()
 
-        if omega_hint is not None:
-            omega = omega_hint
-        else:
-            omega = -(sigma * s_hat).truncate(int(locator.degree))
-        if omega.degree >= locator.degree:
-            return DecodeOutcome.failure()
-
-        # error magnitudes through the derivative of the full locator
+        # error magnitudes through the derivative of the full locator,
+        # which is nonzero at its deg-many distinct roots
         deriv = locator.derivative()
-        values = {}
-        for i, x in roots.items():
-            num = f.mul(omega(x), f.pow(x, self.m0 - 1)) if self.m0 != 1 else omega(x)
-            den = deriv(x)
-            if den == 0:
-                return DecodeOutcome.failure()
-            values[i] = f.div(num, den)
+        values = {
+            i: f.div(f.mul(omega(x), f.pow(x, self.m0 - 1)), deriv(x))
+            for i, x in roots.items()
+        }
 
         # re-verify every syndrome before emitting
-        for j in range(nk):
-            xj = f.pow(self.beta, self.m0 + j)
+        for j, xj in enumerate(self._syndrome_points):
             acc = 0
             for i, e in values.items():
                 acc = f.add(acc, f.mul(e, f.pow(xj, i)))
@@ -260,35 +256,31 @@ class RSCode:
     # -- key-equation solvers ----------------------------------------------------
 
     def _solve_pgz(self, s_hat: Poly, nk: int, t: int):
-        """Largest-nonsingular-Hankel-matrix solver.  Returns
-        (sigma, None) or None when no consistent locator exists."""
+        """Largest-nonsingular-Hankel-matrix solver.  Returns (sigma,
+        omega); sigma = 1 when no Hankel matrix is invertible, and the
+        syndrome re-check decides whether zero errors is consistent."""
         f = self.field
         c = s_hat.coeff
+        sigma = Poly.one(f)
         for r in range((nk - t) // 2, 0, -1):
             rows = [[c(t + 1 + i + j) for j in range(r)] for i in range(r)]
             rhs = [f.neg(c(t + i)) for i in range(r)]
             sol = _solve_square(f, rows, rhs)
-            if sol is None:
-                continue  # singular: fewer errors than r
-            # sol = (sigma_{r-1}, ..., sigma_0)
-            coeffs = list(reversed(sol)) + [1]
-            return Poly(f, coeffs), None
-        # no invertible matrix: consistent only if zero errors remain
-        if all(c(j) == 0 for j in range(t, nk)):
-            return Poly.one(f), None
-        return None
+            if sol is not None:
+                # sol = (sigma_{r-1}, ..., sigma_0)
+                sigma = Poly(f, list(reversed(sol)) + [1])
+                break
+        return sigma, -(sigma * s_hat).truncate(nk)
 
     def _solve_euclid(self, s_hat: Poly, nk: int, t: int):
         """Extended-Euclid solver; stops at the erasure-adjusted degree
-        threshold and normalizes the tracked coefficient to be monic."""
+        threshold and returns (lam*t_i, -lam*r_i) with lam = 1/lc(t_i).
+        The threshold is below n - k, so the recursion never stops on
+        the remainder x^(n-k), the only one whose t_i is zero."""
         threshold = (nk - t) // 2 + t - 1
         r, tpoly, _ = euclid_key_equation(self.field, nk, s_hat, threshold)
-        if tpoly.is_zero:
-            return None
         lam = self.field.inv(tpoly.lc)
-        sigma = tpoly.scale(lam)
-        omega = -r.scale(lam)
-        return sigma, omega
+        return tpoly.scale(lam), -r.scale(lam)
 
 
 def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
@@ -300,13 +292,9 @@ def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
     r_prev, r_cur = Poly.monomial(field, nk), s_hat
     t_prev, t_cur = Poly.zero(field), Poly.one(field)
     trace = []
-    if r_cur.degree <= threshold:
-        return r_cur, t_cur, trace
-    while True:
+    while r_cur.degree > threshold:
         q, r = divmod(r_prev, r_cur)
-        t = t_prev - q * t_cur
-        trace.append((r, q, t))
-        if r.degree <= threshold:
-            return r, t, trace
         r_prev, r_cur = r_cur, r
-        t_prev, t_cur = t_cur, t
+        t_prev, t_cur = t_cur, t_prev - q * t_cur
+        trace.append((r_cur, q, t_cur))
+    return r_cur, t_cur, trace

@@ -443,3 +443,12 @@ def test_bad_integers_name_the_flag(capsys, argv, flag, token):
     status, out, err = run(capsys, *argv)
     assert status == 1 and out == ""
     assert err.startswith(f"error: {flag}: ") and repr(token) in err
+
+
+def test_bad_probability_names_the_flag(capsys):
+    status, out, err = run(
+        capsys, "simulate", "--code", "hamming:r=3", "--p", "0.1,x",
+        "--trials", "10", "--seed", "1",
+    )
+    assert status == 1 and out == ""
+    assert err.startswith("error: --p: ") and "'x'" in err

@@ -17,7 +17,7 @@ from blockfec import (
     parity_from_generator,
     systematic_form,
 )
-from blockfec.errors import NotSystematic, RankDeficient, TooLarge
+from blockfec.errors import InvalidParams, NotSystematic, RankDeficient, TooLarge
 from blockfec.linear import _solve_square
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
@@ -197,6 +197,12 @@ def test_standard_array_whole_space(gf2):
     code = LinearCode.from_generator(gf2, MatrixGF.identity(gf2, 3))
     arr = StandardArray(code)
     assert len(arr.rows) == 1
+
+
+def test_zero_dimensional_code_is_rejected(gf2):
+    # a full-rank square parity matrix leaves only the zero word
+    with pytest.raises(InvalidParams, match="k = 0"):
+        LinearCode.from_parity(gf2, [[1, 0], [0, 1]])
 
 
 def test_decode_standard_array(c5):
