@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import InvalidParams, SubfieldViolation
+from .errors import InvalidParams
 from .cyclic import CyclicCode
 from .galois import minimal_polynomial, subfield_elements
-from .linear import DecodeOutcome, as_received
+from .linear import DecodeOutcome, received
 from .poly import Poly
 from .reed_solomon import RSCode
 
@@ -45,11 +45,10 @@ class BCHCode:
         self.k = n - int(g.degree)
         self.rs = RSCode(field, n, n - (designed_d - 1), m0=m0)
         self._cyclic = CyclicCode(field, n, g)
+        # messages are checked against the subfield, not the big field
+        self._cyclic.subfield = self.subfield
 
     def encode(self, u, systematic: bool = True):
-        u = tuple(u)
-        if any(x not in self.subfield for x in u):
-            raise SubfieldViolation("message symbols must lie in the subfield")
         return self._cyclic.encode(u, systematic=systematic)
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
@@ -57,11 +56,8 @@ class BCHCode:
         decoder; a correction that leaves the subfield is uncorrectable.
         Over GF(2) the error values come out as 1, so this is the
         bit-flip decoder."""
-        w = as_received(word, erasures)
-        if any(x not in self.subfield for x in w.symbols):
-            raise SubfieldViolation("received symbols must lie in the subfield")
-        out = self.rs.decode(w)
-        if not out.corrected or any(x not in self.subfield for x in out.codeword):
+        out = self.rs.decode(received(self, word, erasures))
+        if not out.corrected or not self.subfield.issuperset(out.codeword):
             return DecodeOutcome.failure()
         return replace(out, info=out.codeword[: self.k])
 

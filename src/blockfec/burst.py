@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
-from .linear import DecodeOutcome, as_received
+from .linear import DecodeOutcome, check_word, received
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,13 @@ class InterleavedCode:
         return self.k
 
     def encode(self, info):
-        info = tuple(info)
-        if len(info) != self.k:
-            raise LengthMismatch(f"info length {len(info)} != {self.k}")
+        info = check_word(tuple(info), self.k, self.subfield)
         m = self.depth
         columns = [self.base.encode(info[j::m]) for j in range(m)]
         return _interleave(columns)
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        w = as_received(word, erasures)
-        if len(w) != self.n:
-            raise LengthMismatch(f"word length {len(w)} != {self.n}")
+        w = received(self, word, erasures)
         m = self.depth
         outcomes = []
         for j in range(m):

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 from .bch import BCHCode
 from .burst import InterleavedCode, ProductCode, ProductDecodePolicy
 from .cyclic import CyclicCode
-from .errors import FecError, LengthMismatch
+from .errors import FecError
 from .galois import FiniteField, GF
-from .linear import LinearCode, MatrixGF
+from .linear import LinearCode, MatrixGF, check_word
 from .named_codes import GolayCode, HammingCode
 from .poly import Poly
 from .reed_solomon import RSCode
@@ -228,9 +228,7 @@ def build(spec) -> BuiltCode:
                            build(_param(params, "inner")).code)
 
         def encode(u):
-            u = tuple(u)
-            if len(u) != code.k:
-                raise LengthMismatch(f"message length {len(u)} != {code.k}")
+            u = check_word(tuple(u), code.k, code.subfield)
             rows = [u[i * code.k2:(i + 1) * code.k2] for i in range(code.k1)]
             return code.serialize(code.encode(rows))
 

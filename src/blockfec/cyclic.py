@@ -8,7 +8,7 @@ from dataclasses import replace
 from itertools import product
 
 from .errors import DegreeTooHigh, NotADivisor, TooLarge
-from .linear import DecodeOutcome, LinearCode, MatrixGF
+from .linear import DecodeOutcome, LinearCode, MatrixGF, check_word
 from .poly import Poly, factorize
 
 MAX_ENUM_LENGTH = 32
@@ -32,7 +32,7 @@ class CyclicCode:
         if not rem.is_zero:
             raise NotADivisor(f"{g!r} does not divide x^{n} - 1")
         self.field = field
-        self.subfield = field.elements()
+        self.subfield = field.alphabet
         self.n = n
         self.g = g
         self.h = quo
@@ -43,6 +43,7 @@ class CyclicCode:
         u = u if isinstance(u, Poly) else Poly(self.field, u)
         if u.degree >= self.k:
             raise DegreeTooHigh(f"deg(u) = {u.degree} must be < k = {self.k}")
+        check_word(u.to_vector(self.k), self.k, self.subfield)
         return u
 
     def encode_nonsystematic(self, u) -> Poly:

@@ -47,7 +47,8 @@ class NotADivisor(FecError):
 
 
 class InvalidSymbol(FecError):
-    """A word or message holds a symbol that is not a field element."""
+    """A word or message holds a symbol outside the code's alphabet: its
+    field, or the subfield of a BCH code."""
 
 
 class DegreeTooHigh(FecError):
@@ -66,9 +67,9 @@ class InvalidSpan(FecError):
     """A burst span is empty, too long, or has zero endpoints."""
 
 
-class SubfieldViolation(FecError):
-    """A corrected word left the subfield it must live in."""
-
-
 class TooLarge(FecError):
     """An exhaustive operation exceeds its hard size cap."""
+
+
+# a symbol outside a BCH code's subfield is outside its alphabet
+SubfieldViolation = InvalidSymbol

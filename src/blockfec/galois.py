@@ -143,6 +143,8 @@ class FiniteField:
         self.p = p
         self.nu = nu
         self.q = q
+        # the symbol alphabet, as a set for one-call word checks
+        self.alphabet = frozenset(range(q))
 
         if nu == 1:
             if modulus is not None:
@@ -446,16 +448,11 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> dict:
     if f1.nu == 1:
         return {a: a for a in f1.elements()}
     n = f1.q - 1
+    # f1's defining polynomial over f2 (GF(p) coefficients embed
+    # directly as low-digit elements)
+    f1_modulus = Poly(f2, f1.modulus)
     for i in range(1, n):
-        if gcd(i, n) != 1:
-            continue
-        gamma = f2.exp(i)
-        # evaluate f1's defining polynomial (GF(p) coefficients embed
-        # directly as low-digit elements) at gamma inside f2
-        acc = 0
-        for c in reversed(f1.modulus):
-            acc = f2.add(f2.mul(acc, gamma), c)
-        if acc == 0:
+        if gcd(i, n) == 1 and f1_modulus(f2.exp(i)) == 0:
             h = {0: 0}
             for j in range(n):
                 h[f1.exp(j)] = f2.exp(i * j % n)

@@ -21,6 +21,7 @@ from itertools import product
 from .errors import (
     InvalidColumns,
     InvalidParams,
+    InvalidSymbol,
     LengthMismatch,
     NotSystematic,
     RankDeficient,
@@ -46,7 +47,8 @@ class ReceivedWord:
     """A word with known-unreliable (erased) positions.
 
     Erased positions are normalised to the zero symbol; decoders rely
-    on that convention when evaluating syndromes.
+    on that convention when evaluating syndromes.  The erasures are a
+    set: a position listed twice is erased once.
     """
 
     symbols: tuple
@@ -74,6 +76,27 @@ def as_received(word, erasures=()) -> ReceivedWord:
             return word
         word, erasures = word.symbols, word.erasures.union(erasures)
     return ReceivedWord.make(word, erasures)
+
+
+def check_word(symbols, n: int, alphabet):
+    """`symbols`, once checked to have length n and to draw every symbol
+    from `alphabet`, a set such as a code's `subfield`; raises
+    LengthMismatch or InvalidSymbol otherwise."""
+    if len(symbols) != n:
+        raise LengthMismatch(f"length {len(symbols)} != {n}")
+    if not alphabet.issuperset(symbols):
+        bad = next(s for s in symbols if s not in alphabet)
+        raise InvalidSymbol(f"symbol {bad} is not in the code's alphabet")
+    return symbols
+
+
+def received(code, word, erasures=()) -> ReceivedWord:
+    """The decode intake: `word` with `erasures` as a ReceivedWord,
+    checked against `code.n` and `code.subfield`.  Erased symbols are
+    zeroed before the check, so they are never checked."""
+    w = as_received(word, erasures)
+    check_word(w.symbols, code.n, code.subfield)
+    return w
 
 
 @dataclass(frozen=True)
@@ -286,8 +309,7 @@ class LinearCode:
         self._d = None
         self._array = None
         self._pivot_solver = None
-        # the symbol alphabet; BCH codes narrow it to their subfield
-        self.subfield = field.elements()
+        self.subfield = field.alphabet
 
     @classmethod
     def from_generator(cls, field, rows) -> "LinearCode":
@@ -312,15 +334,10 @@ class LinearCode:
     # -- encoding / syndromes -------------------------------------------
 
     def encode(self, u):
-        if len(u) != self.k:
-            raise LengthMismatch(f"message length {len(u)} != k={self.k}")
-        return self.G.mul_vec(tuple(u))
+        return self.G.mul_vec(check_word(tuple(u), self.k, self.subfield))
 
     def syndrome(self, word):
-        w = as_received(word)
-        if len(w) != self.n:
-            raise LengthMismatch(f"word length {len(w)} != n={self.n}")
-        return self._Ht.mul_vec(w.symbols)
+        return self._Ht.mul_vec(received(self, word).symbols)
 
     def contains(self, word) -> bool:
         return not any(self.syndrome(word))
@@ -348,9 +365,7 @@ class LinearCode:
 
     def message_of(self, codeword):
         """Invert the encoding: the message u with u G = codeword."""
-        codeword = tuple(codeword)
-        if len(codeword) != self.n:
-            raise LengthMismatch(f"word length {len(codeword)} != n={self.n}")
+        codeword = check_word(tuple(codeword), self.n, self.subfield)
         pivots, inv = self.pivot_inverse()
         picked = tuple(codeword[p] for p in pivots)
         return inv.mul_vec(picked)
@@ -487,7 +502,7 @@ class StandardArray:
     def decode(self, word) -> DecodeOutcome:
         w = as_received(word)
         f = self.code.field
-        s = self.code.syndrome(w)
+        s = self.code.syndrome(w)   # checks the word
         leader = self.leaders[self.row_index(s)]
         codeword = tuple(f.sub(a, b) for a, b in zip(w.symbols, leader))
         return DecodeOutcome(
@@ -504,9 +519,7 @@ def ml_decode(code: LinearCode, word):
     positions; more than one entry signals a tie."""
     if code.field.q**code.k > MAX_ML_CODEWORDS:
         raise TooLarge("too many codewords for brute-force decoding")
-    w = as_received(word)
-    if len(w) != code.n:
-        raise LengthMismatch(f"word length {len(w)} != n={code.n}")
+    w = received(code, word)
     keep = [i for i in range(code.n) if i not in w.erasures]
     best, best_d = [], None
     for u, c in code.codewords():

@@ -8,9 +8,9 @@ would have to coincide to go unnoticed.
 
 from __future__ import annotations
 
-from .errors import LengthMismatch
+from .errors import InvalidParams
 from .galois import GF
-from .linear import DecodeOutcome, LinearCode, MatrixGF, as_received
+from .linear import DecodeOutcome, LinearCode, MatrixGF, as_received, check_word
 
 _GF2 = GF(2)
 
@@ -22,10 +22,10 @@ class HammingCode:
 
     def __init__(self, r: int):
         if r < 2:
-            raise ValueError("need r >= 2")
+            raise InvalidParams(f"need r >= 2, got {r}")
         self.r = r
         self.field = _GF2
-        self.subfield = _GF2.elements()
+        self.subfield = _GF2.alphabet
         n = (1 << r) - 1
         cols = [[(i >> (r - 1 - b)) & 1 for i in range(1, n + 1)] for b in range(r)]
         H = MatrixGF(_GF2, cols)
@@ -39,9 +39,7 @@ class HammingCode:
         """Any syndrome is a position, so this never fails.  Erased
         symbols are read as zeros."""
         word = as_received(word, erasures).symbols
-        if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != {self.n}")
-        s = self.code.syndrome(word)
+        s = self.code.syndrome(word)   # checks the word
         pos = 0
         for bit in s:
             pos = (pos << 1) | bit
@@ -122,10 +120,10 @@ class GolayCode:
 
     def __init__(self, variant: str = "G23"):
         if variant not in ("G23", "G24"):
-            raise ValueError("variant must be 'G23' or 'G24'")
+            raise InvalidParams(f"variant must be 'G23' or 'G24', got {variant!r}")
         self.variant = variant
         self.field = _GF2
-        self.subfield = _GF2.elements()
+        self.subfield = _GF2.alphabet
         self.P = MatrixGF(_GF2, _P)
         self.Q = MatrixGF(_GF2, _Q)
         self.H1 = MatrixGF(_GF2, [r + e for r, e in
@@ -144,14 +142,12 @@ class GolayCode:
             self.n, self.k = 23, 12
 
     def encode(self, u):
-        u = tuple(u)
-        if len(u) != 12:
-            raise LengthMismatch("Golay messages have 12 bits")
-        word24 = self.H2.mul_vec(u)
+        word24 = self.H2.mul_vec(check_word(tuple(u), self.k, self.subfield))
         return word24 if self.variant == "G24" else word24[:23]
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        """Erased symbols are read as zeros."""
+        """Erased symbols are read as zeros; the public decoders below
+        check the word."""
         word = as_received(word, erasures).symbols
         if self.variant == "G24":
             return golay24_decode(word)
@@ -185,10 +181,7 @@ def golay24_decode(word) -> DecodeOutcome:
     """Four-stage syndrome-weight decoder for the extended Golay code:
     corrects any pattern of weight <= 3 and declares weight-4 patterns
     uncorrectable."""
-    word = tuple(word)
-    if len(word) != 24:
-        raise LengthMismatch("expected 24 bits")
-    r = _to_mask(word)
+    r = _to_mask(check_word(tuple(word), 24, _GF2.alphabet))
     s1 = _syndrome(r, _H1_MASKS)
     if s1.bit_count() <= 3:
         return _outcome24(r, s1 << 12)
@@ -208,9 +201,7 @@ def golay24_decode(word) -> DecodeOutcome:
 
 def golay23_decode(word) -> DecodeOutcome:
     """Decode the [23,12] code by trying both parity completions."""
-    word = tuple(word)
-    if len(word) != 23:
-        raise LengthMismatch("expected 23 bits")
+    word = check_word(tuple(word), 23, _GF2.alphabet)
     for pad in (0, 1):
         out = golay24_decode(word + (pad,))
         if out.corrected:

@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic import CyclicCode
-from .errors import DegreeTooHigh, InvalidParams, InvalidSymbol, LengthMismatch
+from .errors import DegreeTooHigh, InvalidParams
 from .linear import (
     DecodeOutcome,
     MatrixGF,
     ReceivedWord,
     _solve_square,
-    as_received,
+    received,
 )
 from .poly import Poly
 
@@ -82,7 +82,7 @@ class RSCode:
             raise InvalidParams(f"decoder must be one of {self.DECODERS}, "
                                 f"got {decoder!r}")
         self.field = field
-        self.subfield = field.elements()
+        self.subfield = field.alphabet
         self._full_n = n
         self._full_k = k
         self.n = n - shorten_by
@@ -123,20 +123,9 @@ class RSCode:
 
     # -- shortening plumbing ----------------------------------------------
 
-    def _check_symbols(self, symbols):
-        """Raise InvalidSymbol unless every symbol lies in range(q)."""
-        q = self.field.q
-        if min(symbols) < 0 or max(symbols) >= q:
-            bad = next(s for s in symbols if not 0 <= s < q)
-            raise InvalidSymbol(f"symbol {bad} is not in range({q})")
-
     def _expand_word(self, w: ReceivedWord) -> ReceivedWord:
-        """Check the symbols and insert the suppressed zero symbols of a
-        shortened code."""
+        """Insert the suppressed zero symbols of a shortened code."""
         l = self.shorten_by
-        if len(w) != self.n:
-            raise LengthMismatch(f"word length {len(w)} != {self.n}")
-        self._check_symbols(w.symbols)
         if l == 0:
             return w
         cut = self.k
@@ -158,9 +147,9 @@ class RSCode:
             raise InvalidParams(
                 "shortened codes only support systematic encoding"
             )
-        # short messages and the suppressed block are zero-padded
+        # short messages and the suppressed block are zero-padded; the
+        # cyclic encoder checks the padded message
         full = u + (0,) * (self._full_k - len(u))
-        self._check_symbols(full)
         c = self._cyclic.encode(full, systematic=systematic)
         return self._contract_word(c) if systematic else c
 
@@ -168,7 +157,7 @@ class RSCode:
 
     def syndromes(self, word) -> Poly:
         """S(x) with S_{m0+j} as coefficient j (erasures zeroed)."""
-        return self._syndromes_full(self._expand_word(as_received(word)))
+        return self._syndromes_full(self._expand_word(received(self, word)))
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
         rpoly = Poly(self.field, w.symbols)
@@ -190,7 +179,7 @@ class RSCode:
 
     def _decode(self, word, erasures, solver) -> DecodeOutcome:
         f = self.field
-        w = self._expand_word(as_received(word, erasures))
+        w = self._expand_word(received(self, word, erasures))
         nk = self.n - self.k
         t = len(w.erasures)
         if t > nk:
@@ -273,11 +262,13 @@ class RSCode:
         return sigma, -(sigma * s_hat).truncate(nk)
 
     def _solve_euclid(self, s_hat: Poly, nk: int, t: int):
-        """Extended-Euclid solver; stops at the erasure-adjusted degree
-        threshold and returns (lam*t_i, -lam*r_i) with lam = 1/lc(t_i).
-        The threshold is below n - k, so the recursion never stops on
-        the remainder x^(n-k), the only one whose t_i is zero."""
-        threshold = (nk - t) // 2 + t - 1
+        """Extended-Euclid solver; returns (lam*t_i, -lam*r_i) with
+        lam = 1/lc(t_i).  With t erasures it stops at the first
+        remainder of degree < (n - k + t)/2 (Sugiyama's bound), which
+        leaves deg sigma <= (n - k - t)/2, the largest system PGZ
+        solves.  The threshold is below n - k, so the recursion never
+        stops on the remainder x^(n-k), the only one whose t_i is zero."""
+        threshold = (nk - t + 1) // 2 + t - 1
         r, tpoly, _ = euclid_key_equation(self.field, nk, s_hat, threshold)
         lam = self.field.inv(tpoly.lc)
         return tpoly.scale(lam), -r.scale(lam)

@@ -128,6 +128,15 @@ def test_decode_with_erasures(capsys):
     assert record["error_positions"] == "3,9,12"
 
 
+def test_decode_merges_duplicate_erasures(capsys):
+    # a position listed twice is erased once
+    argv = ("decode", "--code", RS73, "--received", "a6,0,a5,a6,a5,a4,a0",
+            "--format", "record", "--erasures")
+    once = run(capsys, *argv, "1")
+    assert once[0] == 0 and "error_positions=1,6" in once[1]
+    assert run(capsys, *argv, "1,1") == once
+
+
 def test_decode_golay_example(capsys):
     word = ",".join("011110111010001100000010")
     status, out, _ = run(capsys, "decode", "--code", "golay24",

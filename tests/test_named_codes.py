@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from blockfec import GolayCode, HammingCode, golay23_decode, golay24_decode
+from blockfec.errors import InvalidParams
 from blockfec.linear import hamming_weight
 from blockfec.named_codes import _P, _Q
 
@@ -14,6 +15,14 @@ def bits(s):
 
 
 # -- Hamming ------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [lambda: HammingCode(1), lambda: HammingCode(0),
+                                  lambda: GolayCode("G22"), lambda: GolayCode("g24")],
+                         ids=["hamming-1", "hamming-0", "golay-G22", "golay-g24"])
+def test_bad_parameters_raise_invalid_params(make):
+    with pytest.raises(InvalidParams):
+        make()
+
 
 def test_hamming_r3_parity_matrix():
     h = HammingCode(3)

@@ -1,16 +1,17 @@
 """Every family implements one protocol -- field, n, k, encode(u) and
 decode(word, erasures=()) -> DecodeOutcome, in transmitted coordinates --
 so each composes as the base of an interleave and as either part of a
-product code."""
+product code, and each rejects a malformed word with a FecError."""
 
 import random
+from itertools import count
 
 import pytest
 
-from blockfec import FiniteField, RSCode, monte_carlo
+from blockfec import FiniteField, RSCode, golay23_decode, golay24_decode, monte_carlo
 from blockfec.cli import main
 from blockfec.codespec import build
-from blockfec.errors import InvalidParams
+from blockfec.errors import FecError, InvalidParams, InvalidSymbol, LengthMismatch
 
 GF8 = "GF(2^3)[1,1,0,1]"
 GF16 = "GF(2^4)[1,1,0,0,1]"
@@ -172,3 +173,49 @@ def test_product_parts_must_share_an_alphabet():
     with pytest.raises(InvalidParams):
         build(f"product:outer={{bch:field={GF16},sub=2,d=7}},"
               f"inner={{rs:field={GF16},n=15,k=13}}")
+
+
+# -- malformed input ---------------------------------------------------------
+
+MALFORMED = {name: case[0] for name, case in CASES.items()}
+MALFORMED["product"] = f"product:outer={{{HAMMING7}}},inner={{golay24}}"
+
+
+def malformed_words(n, bad):
+    """(word, expected error) pairs: a symbol outside the alphabet, a
+    negative symbol, and words one symbol short and one too long."""
+    zeros = (0,) * (n - 1)
+    return [((bad,) + zeros, InvalidSymbol), ((-1,) + zeros, InvalidSymbol),
+            (zeros, LengthMismatch), (zeros + (0, 0), LengthMismatch)]
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_raises_a_fec_error(name):
+    built = build(MALFORMED[name])
+    n, k = built.n, built.k
+    bad = next(s for s in count() if s not in built.subfield)
+    for word, error in malformed_words(n, bad):
+        with pytest.raises(error):
+            built.decode(word)
+    # an erasure past the end (a product code takes no erasures at all)
+    with pytest.raises(FecError):
+        built.decode((0,) * n, (n,))
+    with pytest.raises(InvalidSymbol):
+        built.encode((bad,) + (0,) * (k - 1))
+
+
+@pytest.mark.parametrize("decode,n", [(golay23_decode, 23), (golay24_decode, 24)])
+def test_public_golay_decoders_check_the_word(decode, n):
+    for word, error in malformed_words(n, 2):
+        with pytest.raises(error):
+            decode(word)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_duplicate_erasures_are_merged(name):
+    ch = Channel(name, build(CASES[name][0]))
+    _, c = ch.send()
+    word = list(c)
+    ch.hit(word, [0])
+    word = tuple(word)
+    assert ch.built.decode(word, (1, 1)) == ch.built.decode(word, (1,))
