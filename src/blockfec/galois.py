@@ -5,7 +5,9 @@ packs its coefficient vector (a_0, a_1, ..., a_{nu-1}) in radix p:
 ``a_0 + a_1*p + a_2*p^2 + ...``.  For p = 2 this makes elements the
 usual bitmask integers and addition a XOR.  Multiplication goes through
 the log/antilog tables of a primitive element, so the defining
-polynomial must be primitive, not merely irreducible.
+polynomial must be primitive, not merely irreducible.  Each field also
+keeps zero-padded copies of the tables (see `FiniteField.__init__`)
+that the polynomial kernels index directly.
 
 The module-level checks on defining polynomials take coefficient lists
 over the prime field GF(p), lowest degree first, and run on `Poly`
@@ -176,6 +178,14 @@ class FiniteField:
         for i, v in enumerate(exp):
             log[v] = i
         self._log = log
+        # Zero-padded copies for the Poly kernels: _exp_pad holds exp
+        # twice, then 2(q-1) + 1 zeros, and _log_pad[0] = 2(q-1) points
+        # at the first of those zeros.  Then
+        # _exp_pad[_log_pad[a] + _log_pad[b]] is a*b for every a and b,
+        # zero included, with no zero test and no reduction mod q - 1.
+        zero_log = 2 * (q - 1)
+        self._exp_pad = exp + exp + [0] * (zero_log + 1)
+        self._log_pad = [zero_log] + log[1:]
         self.alpha = exp[1] if q > 2 else 1
 
         if p == 2:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import index
 
 from .errors import (
     InvalidColumns,
@@ -57,7 +58,10 @@ class ReceivedWord:
     @classmethod
     def make(cls, symbols, erasures=()) -> "ReceivedWord":
         symbols = list(symbols)
-        erasures = frozenset(erasures)
+        try:
+            erasures = frozenset(map(index, erasures))
+        except TypeError:
+            raise LengthMismatch("erasure positions must be integers") from None
         for e in erasures:
             if not 0 <= e < len(symbols):
                 raise LengthMismatch(f"erasure position {e} out of range")
@@ -78,15 +82,25 @@ def as_received(word, erasures=()) -> ReceivedWord:
     return ReceivedWord.make(word, erasures)
 
 
+def _in_alphabet(symbols, alphabet) -> bool:
+    # operator.index admits ints (numpy's too) and rejects 1.0 or "1",
+    # which would otherwise pass as the equal-hashing 1
+    try:
+        return alphabet.issuperset(map(index, symbols))
+    except TypeError:
+        return False
+
+
 def check_word(symbols, n: int, alphabet):
     """`symbols`, once checked to have length n and to draw every symbol
-    from `alphabet`, a set such as a code's `subfield`; raises
-    LengthMismatch or InvalidSymbol otherwise."""
+    from `alphabet`, a set of ints such as a code's `subfield`; raises
+    LengthMismatch or InvalidSymbol otherwise.  A symbol that is not an
+    integer is outside every alphabet."""
     if len(symbols) != n:
         raise LengthMismatch(f"length {len(symbols)} != {n}")
-    if not alphabet.issuperset(symbols):
-        bad = next(s for s in symbols if s not in alphabet)
-        raise InvalidSymbol(f"symbol {bad} is not in the code's alphabet")
+    if not _in_alphabet(symbols, alphabet):
+        bad = next(s for s in symbols if not _in_alphabet((s,), alphabet))
+        raise InvalidSymbol(f"symbol {bad!r} is not in the code's alphabet")
     return symbols
 
 
@@ -307,6 +321,7 @@ class LinearCode:
         if any(any(row) for row in zero.rows):
             raise ValueError("G H^T != 0")
         self._d = None
+        self._codebook = None
         self._array = None
         self._pivot_solver = None
         self.subfield = field.alphabet
@@ -379,13 +394,32 @@ class LinearCode:
         for u in self.messages():
             yield u, self.encode(u)
 
+    def codebook(self):
+        """Every codeword, in the order of `messages()`, as the rows of
+        a numpy array; built on first use, for at most MAX_ML_CODEWORDS
+        codewords.  Row u is the sum of the multiples u_i G_i, so the
+        book grows by one generator row at a time."""
+        if self._codebook is None:
+            import numpy as np
+
+            f = self.field
+            if f.q**self.k > MAX_ML_CODEWORDS:
+                raise TooLarge("too many codewords to enumerate")
+            dtype = np.uint8 if f.q <= 256 else np.uint16
+            add = np.bitwise_xor if f.p == 2 else np.frompyfunc(f.add, 2, 1)
+            book = np.zeros((1, self.n), dtype)
+            for row in self.G.rows:
+                multiples = np.array(
+                    [[f.mul(a, g) for g in row] for a in f.elements()], dtype
+                )
+                book = add(book[:, None], multiples).reshape(-1, self.n)
+            self._codebook = book.astype(dtype, copy=False)
+        return self._codebook
+
     def min_distance(self) -> int:
         if self._d is None:
-            if self.field.q**self.k > MAX_ML_CODEWORDS:
-                raise TooLarge("too many codewords to enumerate")
-            self._d = min(
-                hamming_weight(c) for u, c in self.codewords() if any(u)
-            )
+            # row 0 is the zero codeword
+            self._d = int((self.codebook()[1:] != 0).sum(axis=1).min())
         return self._d
 
     @property
@@ -516,16 +550,11 @@ class StandardArray:
 
 def ml_decode(code: LinearCode, word):
     """All codewords at minimum Hamming distance over the non-erased
-    positions; more than one entry signals a tie."""
-    if code.field.q**code.k > MAX_ML_CODEWORDS:
-        raise TooLarge("too many codewords for brute-force decoding")
+    positions, in message order; more than one entry signals a tie."""
+    book = code.codebook()
     w = received(code, word)
     keep = [i for i in range(code.n) if i not in w.erasures]
-    best, best_d = [], None
-    for u, c in code.codewords():
-        d = sum(1 for i in keep if c[i] != w.symbols[i])
-        if best_d is None or d < best_d:
-            best, best_d = [c], d
-        elif d == best_d:
-            best.append(c)
+    dist = (book[:, keep] != [w.symbols[i] for i in keep]).sum(axis=1)
+    best_d = int(dist.min())
+    best = [tuple(map(int, c)) for c in book[dist == best_d]]
     return best, best_d

@@ -4,9 +4,20 @@ Coefficients are stored lowest degree first as field-element ints with
 trailing zeros stripped.  The zero polynomial has an empty coefficient
 tuple and degree -inf, so degree comparisons in division loops never
 need a special case.
+
+The inner loops of evaluation, multiplication, division, scaling and
+the derivative index the field's zero-padded tables directly instead
+of calling its methods.  `_exp_pad` lists the powers of alpha twice
+and then 2(q-1) + 1 zeros; `_log_pad[0]` = 2(q-1) points at the first
+of those zeros, so ``exp[log[a] + log[b]]`` is a*b even when a or b is
+zero, with no branch and no reduction mod q - 1.  Horner's step is
+``acc = exp[log[acc] + log[x]] ^ c`` in characteristic 2, where adding
+is XOR; other characteristics add through the field's `add`.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 NEG_INF = float("-inf")
 
@@ -73,13 +84,13 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        add = xor if f.p == 2 else f.add
+        return Poly(f, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "Poly":
         f = self.field
+        if f.p == 2:
+            return self
         return Poly(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -94,17 +105,22 @@ class Poly:
             return other
         if b == (1,):
             return self
+        exp, log = f._exp_pad, f._log_pad
+        lb = [log[bj] for bj in b]
         out = [0] * (len(a) + len(b) - 1)
+        add = xor if f.p == 2 else f.add
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+                la = log[ai]
+                for j, lbj in enumerate(lb, i):
+                    out[j] = add(out[j], exp[la + lbj])
         return Poly(f, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
-        return Poly(f, [f.mul(a, c) for a in self.coeffs])
+        exp, log = f._exp_pad, f._log_pad
+        lc = log[c]
+        return Poly(f, [exp[log[a] + lc] for a in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
@@ -116,19 +132,24 @@ class Poly:
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        exp, log = f._exp_pad, f._log_pad
         rem = list(self.coeffs)
         dn = len(other.coeffs) - 1
-        inv_lead = f.inv(other.lc)
+        lb = [log[bi] for bi in other.coeffs[:-1]]
+        l_inv = log[f.inv(other.lc)]
         quo = [0] * max(0, len(rem) - dn)
-        while len(rem) - 1 >= dn and rem:
-            shift = len(rem) - 1 - dn
-            factor = f.mul(rem[-1], inv_lead)
+        add = xor if f.p == 2 else f.add
+        for shift in range(len(quo) - 1, -1, -1):
+            top = rem[shift + dn]
+            if not top:
+                continue
+            factor = exp[log[top] + l_inv]
             quo[shift] = factor
-            for i, bi in enumerate(other.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, bi))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(f, quo), Poly(f, rem)
+            # subtracting factor * b_i is adding exp[lf + lb_i]
+            lf = log[f.neg(factor)]
+            for j, lbj in enumerate(lb, shift):
+                rem[j] = add(rem[j], exp[lf + lbj])
+        return Poly(f, quo), Poly(f, rem[:dn])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -138,18 +159,24 @@ class Poly:
 
     def __call__(self, x: int) -> int:
         f = self.field
+        exp, log = f._exp_pad, f._log_pad
+        lx = log[x]
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+        if f.p == 2:
+            for c in reversed(self.coeffs):
+                acc = exp[log[acc] + lx] ^ c
+        else:
+            add = f.add
+            for c in reversed(self.coeffs):
+                acc = add(exp[log[acc] + lx], c)
         return acc
 
     def derivative(self) -> "Poly":
         f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            # i mod p embeds as the constant digit of an element
-            out.append(f.mul(self.coeffs[i], i % f.p))
-        return Poly(f, out)
+        exp, log, p = f._exp_pad, f._log_pad, f.p
+        # i mod p embeds as the constant digit of an element
+        return Poly(f, [exp[log[c] + log[i % p]]
+                        for i, c in enumerate(self.coeffs[1:], 1)])
 
     def monic(self) -> "Poly":
         if self.is_zero:

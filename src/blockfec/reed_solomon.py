@@ -26,6 +26,8 @@ never output a non-codeword.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .cyclic import CyclicCode
 from .errors import DegreeTooHigh, InvalidParams
@@ -211,11 +213,14 @@ class RSCode:
             for i, x in roots.items()
         }
 
-        # re-verify every syndrome before emitting
+        # re-verify every syndrome before emitting: S_j is the sum of
+        # e_i * xj^i, read off the field's padded log/exp tables
+        exp, log, order = f._exp_pad, f._log_pad, f.q - 1
+        add = xor if f.p == 2 else f.add
+        terms = [(log[e], i) for i, e in values.items()]
         for j, xj in enumerate(self._syndrome_points):
-            acc = 0
-            for i, e in values.items():
-                acc = f.add(acc, f.mul(e, f.pow(xj, i)))
+            lx = log[xj]
+            acc = reduce(add, [exp[le + lx * i % order] for le, i in terms], 0)
             if acc != S.coeff(j):
                 return DecodeOutcome.failure()
 

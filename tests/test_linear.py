@@ -485,3 +485,18 @@ def test_message_of_inverts_nonsystematic_generators_over_gf3():
         built += 1
         for u in code.messages():
             assert code.message_of(code.encode(u)) == u
+
+
+@pytest.mark.parametrize("p,nu", ALGEBRA_FIELDS + [(17, 2)])
+def test_codebook_lists_the_encoder_output_in_message_order(p, nu):
+    f = FiniteField(p, nu)
+    rng = random.Random(400 * p + nu)
+    for _ in range(6):
+        k = rng.randint(1, 1 if f.q > 16 else 3)
+        G = _random_matrix(f, rng, k, k + rng.randint(1, 3))
+        if G.rank() < k:
+            continue
+        code = LinearCode.from_generator(f, G)
+        encoded = [c for _, c in code.codewords()]
+        assert [tuple(row) for row in code.codebook().tolist()] == encoded
+        assert code.min_distance() == min(hamming_weight(c) for c in encoded[1:])

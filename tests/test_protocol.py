@@ -6,6 +6,7 @@ product code, and each rejects a malformed word with a FecError."""
 import random
 from itertools import count
 
+import numpy as np
 import pytest
 
 from blockfec import FiniteField, RSCode, golay23_decode, golay24_decode, monte_carlo
@@ -219,3 +220,28 @@ def test_duplicate_erasures_are_merged(name):
     ch.hit(word, [0])
     word = tuple(word)
     assert ch.built.decode(word, (1, 1)) == ch.built.decode(word, (1,))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_non_integer_input_raises_a_fec_error(name):
+    built = build(CASES[name][0])
+    n, k = built.n, built.k
+    # 1.0 hashes like the symbol 1, so only its type gives it away
+    with pytest.raises(InvalidSymbol):
+        built.decode((1.0,) + (0,) * (n - 1))
+    with pytest.raises(InvalidSymbol):
+        built.encode((1.0,) + (0,) * (k - 1))
+    for erasures in (("1",), (1.5,)):
+        with pytest.raises(LengthMismatch):
+            built.decode((0,) * n, erasures)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_numpy_integers_are_accepted(name):
+    ch = Channel(name, build(CASES[name][0]))
+    u, c = ch.send()
+    word = list(c)
+    ch.hit(word, [0])
+    as_numpy = np.array(word, dtype=np.int64)
+    assert ch.built.decode(as_numpy, np.array([1])) == ch.built.decode(tuple(word), (1,))
+    assert tuple(ch.built.encode(np.array(u, dtype=np.uint8))) == tuple(c)
