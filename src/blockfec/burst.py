@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import xor
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
 from .linear import DecodeOutcome, check_word, received
@@ -113,8 +114,8 @@ class InterleavedCode:
                 return DecodeOutcome.failure()
             outcomes.append(out)
         codeword = _interleave([out.codeword for out in outcomes])
-        f = self.field
-        err = tuple(f.sub(r, c) for r, c in zip(w.symbols, codeword))
+        sub = xor if self.field.p == 2 else self.field.sub
+        err = tuple(map(sub, w.symbols, codeword))
         return DecodeOutcome(
             "corrected", codeword=codeword, error_vector=err,
             error_positions=tuple(i for i, e in enumerate(err) if e),

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
-from operator import index
+from operator import index, xor
 
 from .errors import (
     InvalidColumns,
@@ -380,10 +381,12 @@ class LinearCode:
 
     def message_of(self, codeword):
         """Invert the encoding: the message u with u G = codeword."""
-        codeword = check_word(tuple(codeword), self.n, self.subfield)
+        return self._message_of(check_word(tuple(codeword), self.n, self.subfield))
+
+    def _message_of(self, codeword):
+        # the pivot read of `message_of`, for a codeword a decoder built
         pivots, inv = self.pivot_inverse()
-        picked = tuple(codeword[p] for p in pivots)
-        return inv.mul_vec(picked)
+        return inv.mul_vec(tuple(codeword[p] for p in pivots))
 
     # -- enumeration ------------------------------------------------------
 
@@ -487,48 +490,80 @@ class LinearCode:
 # Standard arrays.
 # ----------------------------------------------------------------------
 
-def _leader_key(v):
-    # minimum weight first; ties broken by comparing coordinates from
-    # the last position backwards, which reproduces the classical
-    # textbook tables.
-    return (hamming_weight(v), tuple(reversed(v)))
-
-
 def _message_key(u):
     return (hamming_weight(u), tuple(u))
 
 
+def _patterns(f, Ht: MatrixGF):
+    """Every vector of length n (the rows of Ht) with its syndrome, by
+    increasing weight and, within a weight, in increasing order of the
+    reversed coordinates: the last position is the most significant.
+    The syndrome is built up with the vector, one nonzero symbol at a
+    time."""
+    add = xor if f.p == 2 else f.add
+    terms = [[tuple(f.mul(a, y) for y in row) for a in f.elements()]
+             for row in Ht.rows]
+    zero = (0,) * Ht.shape[1]
+
+    def level(m, w):
+        # the vectors of length m and weight w; a zero in position
+        # m - 1 sorts first
+        if w == 0:
+            yield (0,) * m, zero
+            return
+        if m > w:
+            for head, s in level(m - 1, w):
+                yield head + (0,), s
+        for a in f.nonzero():
+            term = terms[m - 1][a]
+            for head, s in level(m - 1, w - 1):
+                yield head + (a,), tuple(map(add, s, term))
+
+    for w in range(len(Ht.rows) + 1):
+        yield from level(len(Ht.rows), w)
+
+
 class StandardArray:
     """The coset table of a code: one row per syndrome, led by a
-    minimum-weight coset leader, columns labelled by messages."""
+    minimum-weight coset leader, columns labelled by messages.
+
+    The leaders are found by Slepian's weight-ordered search: error
+    patterns are enumerated one weight at a time, each level in
+    increasing order of the reversed coordinates (ties broken from the
+    last position backwards, which reproduces the classical textbook
+    tables), and the first pattern to reach a syndrome leads its row.
+    The search stops once all q^(n-k) syndromes have a leader, or after
+    weight n when H is rank-deficient, so it visits only the words
+    within the covering radius.  The rows keep that order, code row
+    first.  `messages` and the q^n words of `rows` are built on first
+    use; decoding reads only the leaders."""
 
     def __init__(self, code: LinearCode):
         q, n, k = code.field.q, code.n, code.k
         if q**n > MAX_ARRAY_VECTORS:
             raise TooLarge(f"q^n = {q**n} exceeds standard-array cap")
         self.code = code
-        f = code.field
-
-        self.messages = sorted(code.messages(), key=_message_key)
-        self.code_row = [code.encode(u) for u in self.messages]
-
         leaders = {}
-        for v in product(f.elements(), repeat=n):
-            s = code.syndrome(v)
-            if s not in leaders or _leader_key(v) < _leader_key(leaders[s]):
-                leaders[s] = v
-        order = sorted(
-            (s for s in leaders if any(s)),
-            key=lambda s: _leader_key(leaders[s]),
-        )
-        zero_syndrome = tuple([0] * (n - k))
-        self.syndromes = [zero_syndrome] + order
-        self.leaders = [leaders[s] for s in self.syndromes]
-        self.rows = [
-            [tuple(f.add(a, b) for a, b in zip(leader, c)) for c in self.code_row]
+        for v, s in _patterns(code.field, code._Ht):
+            leaders.setdefault(s, v)
+            if len(leaders) == q ** (n - k):
+                break
+        self.syndromes = list(leaders)
+        self.leaders = list(leaders.values())
+        self._row_of_syndrome = {s: i for i, s in enumerate(self.syndromes)}
+
+    @cached_property
+    def messages(self):
+        return sorted(self.code.messages(), key=_message_key)
+
+    @cached_property
+    def rows(self):
+        f = self.code.field
+        code_row = [self.code.encode(u) for u in self.messages]
+        return [
+            [tuple(f.add(a, b) for a, b in zip(leader, c)) for c in code_row]
             for leader in self.leaders
         ]
-        self._row_of_syndrome = {s: i for i, s in enumerate(self.syndromes)}
 
     def row_index(self, syndrome) -> int:
         return self._row_of_syndrome[tuple(syndrome)]
@@ -544,7 +579,7 @@ class StandardArray:
             codeword=codeword,
             error_vector=leader,
             error_positions=tuple(i for i, e in enumerate(leader) if e),
-            info=self.code.message_of(codeword),
+            info=self.code._message_of(codeword),
         )
 
 

@@ -59,7 +59,7 @@ class HammingCode:
 
     def _info(self, codeword):
         # the binary-counting H is not systematic; invert the encoding
-        return self.code.message_of(codeword)
+        return self.code._message_of(codeword)
 
 
 # The 11x12 block of the Golay parity-check matrix.

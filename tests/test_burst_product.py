@@ -7,6 +7,7 @@ import pytest
 
 from blockfec import (
     BurstPattern,
+    FiniteField,
     InterleavedCode,
     LinearCode,
     ProductCode,
@@ -126,6 +127,28 @@ def test_interleaved_erasure_burst(gf8):
             w[p] = 0
         out = il.decode(tuple(w), erasures=positions)
         assert out.corrected and out.codeword == c
+
+
+@pytest.mark.parametrize("field", [FiniteField(2, 3, (1, 1, 0, 1)), FiniteField(7)],
+                         ids=["GF8", "GF7"])
+def test_interleaved_error_vector_is_received_minus_codeword(field):
+    # one error in each column at most: within every column's radius
+    rs = RSCode(field, field.q - 1, field.q - 3)
+    il = InterleavedCode(rs, 3)
+    rng = random.Random(field.q)
+    for _ in range(40):
+        u = tuple(rng.randrange(field.q) for _ in range(il.total_k))
+        c = il.encode(u)
+        w = list(c)
+        for col in range(3):
+            if rng.random() < 0.8:
+                pos = 3 * rng.randrange(rs.n) + col
+                w[pos] = field.add(w[pos], rng.randrange(1, field.q))
+        out = il.decode(tuple(w))
+        assert out.corrected and out.codeword == c
+        err = tuple(field.sub(r, x) for r, x in zip(w, c))
+        assert out.error_vector == err
+        assert out.error_positions == tuple(i for i, e in enumerate(err) if e)
 
 
 def test_interleaved_beyond_capability_fails(gf8):

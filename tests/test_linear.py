@@ -2,22 +2,34 @@
 duals, extension, shortening, and bound checks."""
 
 import random
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
 from blockfec import (
     FiniteField,
+    GolayCode,
+    HammingCode,
     LinearCode,
     MatrixGF,
     ReceivedWord,
     StandardArray,
+    golay24_decode,
     hamming_distance,
     hamming_weight,
     ml_decode,
     parity_from_generator,
     systematic_form,
 )
-from blockfec.errors import InvalidParams, NotSystematic, RankDeficient, TooLarge
+from blockfec import linear
+from blockfec.errors import (
+    InvalidParams,
+    InvalidSymbol,
+    NotSystematic,
+    RankDeficient,
+    TooLarge,
+)
 from blockfec.linear import _solve_square
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
@@ -249,6 +261,112 @@ def test_length_guards(c5):
         c5.syndrome((1, 0, 1))
     with pytest.raises(LengthMismatch):
         ReceivedWord.make((1, 0, 1), erasures=[5])
+
+
+def _exhaustive_array(code):
+    """The reference standard array: the syndrome of every one of the
+    q^n words, each row led by the least word of its coset under
+    (weight, reversed coordinates), rows in the order of their leaders
+    after the code row."""
+    f, n, k = code.field, code.n, code.k
+
+    def leader_key(v):
+        return (hamming_weight(v), tuple(reversed(v)))
+
+    messages = sorted(code.messages(), key=lambda u: (hamming_weight(u), tuple(u)))
+    code_row = [code.encode(u) for u in messages]
+    leaders = {}
+    for v in product(f.elements(), repeat=n):
+        s = code.syndrome(v)
+        if s not in leaders or leader_key(v) < leader_key(leaders[s]):
+            leaders[s] = v
+    order = sorted((s for s in leaders if any(s)), key=lambda s: leader_key(leaders[s]))
+    syndromes = [tuple([0] * (n - k))] + order
+    row_leaders = [leaders[s] for s in syndromes]
+    rows = [
+        [tuple(f.add(a, b) for a, b in zip(leader, c)) for c in code_row]
+        for leader in row_leaders
+    ]
+    return messages, syndromes, row_leaders, rows
+
+
+def _assert_matches_exhaustive(code):
+    arr = StandardArray(code)
+    messages, syndromes, leaders, rows = _exhaustive_array(code)
+    assert arr.syndromes == syndromes
+    assert arr.leaders == leaders
+    assert arr.messages == messages
+    assert arr.rows == rows
+    assert [arr.row_index(s) for s in syndromes] == list(range(len(syndromes)))
+
+
+def test_weight_ordered_search_matches_exhaustive_on_suite_codes(c5, c6, ham74, gf2):
+    whole = LinearCode.from_generator(gf2, MatrixGF.identity(gf2, 3))
+    for code in (c5, c6, ham74, whole, HammingCode(3).code, HammingCode(4).code):
+        _assert_matches_exhaustive(code)
+
+
+@pytest.mark.parametrize("p,nu,max_n", [(2, 1, 16), (3, 1, 10), (2, 2, 8)])
+def test_weight_ordered_search_matches_exhaustive_on_random_codes(p, nu, max_n):
+    f = FiniteField(p, nu)
+    rng = random.Random(900 + 10 * p + nu)
+    built = 0
+    while built < 8:
+        # one code at the largest n, the rest spread below it
+        n = max_n if built == 0 else rng.randint(2, max_n - 2)
+        k = rng.randint(1, n - 1)
+        G = _random_matrix(f, rng, k, n)
+        if G.rank() < k:
+            continue
+        code = LinearCode.from_generator(f, G)
+        if built % 4 == 3 and n - k >= 2:
+            # an explicit H with a repeated row reaches only part of
+            # the syndromes, so the search runs to weight n
+            H = code.H.rows
+            code = LinearCode(f, code.G, MatrixGF(f, H[:-1] + H[:1]))
+        _assert_matches_exhaustive(code)
+        built += 1
+
+
+def test_golay24_standard_array():
+    golay = GolayCode("G24")
+    arr = StandardArray(golay.code)
+    assert len(arr.leaders) == 4096
+    weights = Counter(hamming_weight(v) for v in arr.leaders)
+    assert weights == {0: 1, 1: 24, 2: 276, 3: 2024, 4: 1771}
+    c = golay.encode((1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0))
+    for w in range(4):
+        for support in combinations(range(24), w):
+            r = tuple(x ^ (i in support) for i, x in enumerate(c))
+            out = arr.decode(r)
+            assert out == golay24_decode(r)
+            assert out.codeword == c
+
+
+def test_decode_checks_the_word_once(monkeypatch, c5):
+    arr = StandardArray(c5)
+    ham = HammingCode(4)
+    c5.decode(bits("00000"))   # builds c5's own array
+    calls = []
+    check = linear.check_word
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(linear, "check_word", counted)
+    for decode, word in [
+        (arr.decode, bits("10111")),
+        (c5.decode, bits("00111")),
+        (ham.decode, bits("000000000000000")),
+        (ham.decode, bits("000000100000000")),
+    ]:
+        calls.clear()
+        assert decode(word).corrected
+        assert len(calls) == 1
+    # message_of stays a checked entry point
+    with pytest.raises(InvalidSymbol):
+        c5.message_of((2, 0, 0, 0, 0))
 
 
 # -- ML decoding ------------------------------------------------------------------
