@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import xor
+from numbers import Integral
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
-from .linear import DecodeOutcome, check_word, received
+from .linear import DecodeOutcome, ReceivedWord, check_word, received
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class InterleavedCode:
     `n` and `k` are the totals (`total_n`/`total_k` are aliases)."""
 
     def __init__(self, base, depth: int):
-        if depth < 1:
-            raise InvalidSpan("depth must be >= 1")
+        if not isinstance(depth, Integral) or depth < 1:
+            raise InvalidSpan(f"depth must be an integer >= 1, got {depth!r}")
         if isinstance(base, ProductCode):
             raise InvalidParams("a product code cannot be interleaved")
         self.base = base
@@ -108,18 +108,16 @@ class InterleavedCode:
         m = self.depth
         outcomes = []
         for j in range(m):
-            col_erasures = [p // m for p in w.erasures if p % m == j]
-            out = self.base.decode(w.symbols[j::m], col_erasures)
+            # erased symbols are zero already: a column is a ReceivedWord
+            erased = frozenset(p // m for p in w.erasures if p % m == j)
+            out = self.base.decode(ReceivedWord(w.symbols[j::m], erased))
             if not out.corrected:
                 return DecodeOutcome.failure()
             outcomes.append(out)
-        codeword = _interleave([out.codeword for out in outcomes])
-        sub = xor if self.field.p == 2 else self.field.sub
-        err = tuple(map(sub, w.symbols, codeword))
-        return DecodeOutcome(
-            "corrected", codeword=codeword, error_vector=err,
-            error_positions=tuple(i for i, e in enumerate(err) if e),
-            info=_interleave([out.info for out in outcomes]),
+        return DecodeOutcome.correction(
+            self.field, w.symbols,
+            _interleave([out.codeword for out in outcomes]),
+            _interleave([out.info for out in outcomes]),
         )
 
 
@@ -200,6 +198,7 @@ class ProductCode:
         rows = [tuple(r) for r in array]
         if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
             raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
+        word = self.serialize(rows)   # stage 1 overwrites the rows
 
         # stage 1: inner decoding; failures erase the whole row
         row_outs = []     # the inner outcome of each row, None if erased
@@ -255,10 +254,8 @@ class ProductCode:
         for i, a in enumerate(zip(*(out.info for out in col_outs))):
             out = row_outs[i] if a == result[i] else self.inner.decode(a)
             info.extend(out.info)
-        return DecodeOutcome(
-            "corrected",
-            codeword=self.serialize(result),
-            info=tuple(info),
+        return DecodeOutcome.correction(
+            self.field, word, self.serialize(result), tuple(info)
         )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -178,8 +179,12 @@ def monte_carlo(
     `detect_syndromes`; a callable word -> DecodeOutcome is called once
     per trial, and its uncorrectable verdicts count as detections.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if isinstance(decoder, StandardArray):
         kernel = _array_kernel(decoder, detect_syndromes)
     elif detect_syndromes:

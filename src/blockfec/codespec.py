@@ -31,10 +31,19 @@ from .named_codes import GolayCode, HammingCode
 from .poly import Poly
 from .reed_solomon import RSCode
 
-FAMILIES = (
-    "linear", "hamming", "golay23", "golay24", "cyclic", "rs", "bch",
-    "interleaved", "product",
-)
+# each family with the parameter keys `build` reads for it
+_KEYS = {
+    "linear": {"field", "rows", "parity", "file"},
+    "hamming": {"r"},
+    "golay23": set(),
+    "golay24": set(),
+    "cyclic": {"field", "n", "g"},
+    "rs": {"field", "n", "k", "m0", "shorten", "decoder"},
+    "bch": {"field", "sub", "d", "m0"},
+    "interleaved": {"depth", "base"},
+    "product": {"outer", "inner"},
+}
+FAMILIES = tuple(_KEYS)
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:\[([0-9,]*)\])?$")
 
@@ -179,6 +188,11 @@ def build(spec) -> BuiltCode:
         spec = parse_spec(spec)
     params = dict(spec.params)
     family = spec.family
+    if family not in _KEYS:
+        raise SpecError(f"unknown family {family!r}")
+    unknown = sorted(set(params) - _KEYS[family])
+    if unknown:
+        raise SpecError(f"unknown parameter {unknown[0]!r} for family {family!r}")
 
     if family == "hamming":
         return BuiltCode(spec, HammingCode(_int(params, "r")))
@@ -241,5 +255,3 @@ def build(spec) -> BuiltCode:
             return code.decode(code.deserialize(w), policy)
 
         return BuiltCode(spec, code, encode, decode)
-
-    raise SpecError(f"unknown family {family!r}")

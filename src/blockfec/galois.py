@@ -5,9 +5,9 @@ packs its coefficient vector (a_0, a_1, ..., a_{nu-1}) in radix p:
 ``a_0 + a_1*p + a_2*p^2 + ...``.  For p = 2 this makes elements the
 usual bitmask integers and addition a XOR.  Multiplication goes through
 the log/antilog tables of a primitive element, so the defining
-polynomial must be primitive, not merely irreducible.  Each field also
-keeps zero-padded copies of the tables (see `FiniteField.__init__`)
-that the polynomial kernels index directly.
+polynomial must be primitive, not merely irreducible.  The tables are
+zero-padded (see `FiniteField.__init__`) so that a product is one
+index, and the polynomial kernels index them directly too.
 
 The module-level checks on defining polynomials take coefficient lists
 over the prime field GF(p), lowest degree first, and run on `Poly`
@@ -173,19 +173,16 @@ class FiniteField:
                     f"{list(modulus)} is irreducible but not primitive"
                 )
 
-        self._exp = exp
-        log = [None] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._log = log
-        # Zero-padded copies for the Poly kernels: _exp_pad holds exp
+        # The one log/exp table pair, zero-padded: _exp_pad holds exp
         # twice, then 2(q-1) + 1 zeros, and _log_pad[0] = 2(q-1) points
         # at the first of those zeros.  Then
         # _exp_pad[_log_pad[a] + _log_pad[b]] is a*b for every a and b,
         # zero included, with no zero test and no reduction mod q - 1.
         zero_log = 2 * (q - 1)
         self._exp_pad = exp + exp + [0] * (zero_log + 1)
-        self._log_pad = [zero_log] + log[1:]
+        self._log_pad = [zero_log] * q
+        for i, v in enumerate(exp):
+            self._log_pad[v] = i
         self.alpha = exp[1] if q > 2 else 1
 
         if p == 2:
@@ -254,24 +251,18 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.q - 1
-        return self._exp[(self._log[a] + self._log[b]) % n]
+        return self._exp_pad[self._log_pad[a] + self._log_pad[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        n = self.q - 1
-        return self._exp[(n - self._log[a]) % n]
+        return self._exp_pad[self.q - 1 - self._log_pad[a]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise DivisionByZero("division by zero")
-        if a == 0:
-            return 0
-        n = self.q - 1
-        return self._exp[(self._log[a] - self._log[b]) % n]
+        # a zero dividend lands in the zero tail
+        return self._exp_pad[self._log_pad[a] + self.q - 1 - self._log_pad[b]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -280,22 +271,22 @@ class FiniteField:
             if e == 0:
                 return 1
             raise DivisionByZero("negative power of zero")
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self._exp_pad[self._log_pad[a] * e % (self.q - 1)]
 
     def exp(self, e: int) -> int:
         """alpha^e (exponent reduced mod q - 1)."""
-        return self._exp[e % (self.q - 1)]
+        return self._exp_pad[e % (self.q - 1)]
 
     def log(self, a: int):
         """Logarithm of a, or LOG_ZERO (-inf) for the zero element."""
         if a == 0:
             return LOG_ZERO
-        return self._log[a]
+        return self._log_pad[a]
 
     def order(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative order")
-        return (self.q - 1) // gcd(self.q - 1, self._log[a])
+        return (self.q - 1) // gcd(self.q - 1, self._log_pad[a])
 
     def elements(self):
         return range(self.q)
@@ -311,7 +302,7 @@ class FiniteField:
             return sep.join(str(c) for c in self.coeffs(a))
         if a == 0:
             return "0"
-        k = self._log[a]
+        k = self._log_pad[a]
         return "1" if k == 0 else f"a{k}"
 
     def parse_element(self, text: str) -> int:

@@ -134,6 +134,16 @@ class DecodeOutcome:
     def failure(cls, **kw) -> "DecodeOutcome":
         return cls(verdict="uncorrectable", **kw)
 
+    @classmethod
+    def correction(cls, field, received, codeword, info) -> "DecodeOutcome":
+        """The corrected outcome of every decoder but RS and BCH: the
+        error vector is received - codeword, the positions its support."""
+        sub = xor if field.p == 2 else field.sub
+        err = tuple(map(sub, received, codeword))
+        return cls("corrected", codeword=codeword, error_vector=err,
+                   error_positions=tuple(i for i, e in enumerate(err) if e),
+                   info=info)
+
 
 class MatrixGF:
     """Dense matrix over a finite field (row tuples of element ints)."""
@@ -574,12 +584,8 @@ class StandardArray:
         s = self.code.syndrome(w)   # checks the word
         leader = self.leaders[self.row_index(s)]
         codeword = tuple(f.sub(a, b) for a, b in zip(w.symbols, leader))
-        return DecodeOutcome(
-            verdict="corrected",
-            codeword=codeword,
-            error_vector=leader,
-            error_positions=tuple(i for i, e in enumerate(leader) if e),
-            info=self.code._message_of(codeword),
+        return DecodeOutcome.correction(
+            f, w.symbols, codeword, self.code._message_of(codeword)
         )
 
 

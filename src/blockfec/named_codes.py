@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import InvalidParams
 from .galois import GF
-from .linear import DecodeOutcome, LinearCode, MatrixGF, as_received, check_word
+from .linear import (DecodeOutcome, LinearCode, MatrixGF, as_received,
+                     check_word, received)
 
 _GF2 = GF(2)
 
@@ -37,29 +38,16 @@ class HammingCode:
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
         """Any syndrome is a position, so this never fails.  Erased
-        symbols are read as zeros."""
-        word = as_received(word, erasures).symbols
-        s = self.code.syndrome(word)   # checks the word
+        symbols are read as zeros.  The binary-counting H is not
+        systematic, so the info comes from inverting the encoding."""
+        w = received(self, word, erasures)
         pos = 0
-        for bit in s:
+        for bit in self.code._Ht.mul_vec(w.symbols):
             pos = (pos << 1) | bit
-        if pos == 0:
-            return DecodeOutcome(
-                "corrected", codeword=word, error_vector=(0,) * self.n,
-                info=self._info(word),
-            )
-        fixed = list(word)
-        fixed[pos - 1] ^= 1
-        err = [0] * self.n
-        err[pos - 1] = 1
-        return DecodeOutcome(
-            "corrected", codeword=tuple(fixed), error_vector=tuple(err),
-            error_positions=(pos - 1,), info=self._info(tuple(fixed)),
+        fixed = tuple(x ^ (i == pos - 1) for i, x in enumerate(w.symbols))
+        return DecodeOutcome.correction(
+            _GF2, w.symbols, fixed, self.code._message_of(fixed)
         )
-
-    def _info(self, codeword):
-        # the binary-counting H is not systematic; invert the encoding
-        return self.code._message_of(codeword)
 
 
 # The 11x12 block of the Golay parity-check matrix.
@@ -166,37 +154,30 @@ def _bits(mask, n):
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def _outcome24(word_mask, err_mask) -> DecodeOutcome:
-    fixed = word_mask ^ err_mask
-    return DecodeOutcome(
-        "corrected",
-        codeword=_bits(fixed, 24),
-        error_vector=_bits(err_mask, 24),
-        error_positions=tuple(i for i in range(24) if (err_mask >> i) & 1),
-        info=_bits(fixed, 12),
-    )
-
-
 def golay24_decode(word) -> DecodeOutcome:
     """Four-stage syndrome-weight decoder for the extended Golay code:
     corrects any pattern of weight <= 3 and declares weight-4 patterns
     uncorrectable."""
-    r = _to_mask(check_word(tuple(word), 24, _GF2.alphabet))
+    word = check_word(tuple(word), 24, _GF2.alphabet)
+    r = _to_mask(word)
+    err = next((e for e in _golay24_errors(r) if e.bit_count() <= 3), None)
+    if err is None:
+        return DecodeOutcome.failure()
+    fixed = _bits(r ^ err, 24)
+    return DecodeOutcome.correction(_GF2, word, fixed, fixed[:12])
+
+
+def _golay24_errors(r):
+    # the error masks the four stages try for the received mask r, in
+    # order; the first of weight <= 3 is the error
     s1 = _syndrome(r, _H1_MASKS)
-    if s1.bit_count() <= 3:
-        return _outcome24(r, s1 << 12)
+    yield s1 << 12
     s2 = _syndrome(r, _H2_MASKS)
-    if s2.bit_count() <= 3:
-        return _outcome24(r, s2)
+    yield s2
     for i in range(12):
-        s1i = s1 ^ _QT_MASKS[i]
-        if s1i.bit_count() <= 2:
-            return _outcome24(r, (1 << i) | (s1i << 12))
+        yield (1 << i) | (s1 ^ _QT_MASKS[i]) << 12
     for i in range(12):
-        s2i = s2 ^ _Q_MASKS[i]
-        if s2i.bit_count() <= 2:
-            return _outcome24(r, s2i | (1 << (12 + i)))
-    return DecodeOutcome.failure()
+        yield (s2 ^ _Q_MASKS[i]) | 1 << (12 + i)
 
 
 def golay23_decode(word) -> DecodeOutcome:
@@ -205,11 +186,5 @@ def golay23_decode(word) -> DecodeOutcome:
     for pad in (0, 1):
         out = golay24_decode(word + (pad,))
         if out.corrected:
-            return DecodeOutcome(
-                "corrected",
-                codeword=out.codeword[:23],
-                error_vector=out.error_vector[:23],
-                error_positions=tuple(p for p in out.error_positions if p < 23),
-                info=out.info,
-            )
+            return DecodeOutcome.correction(_GF2, word, out.codeword[:23], out.info)
     return DecodeOutcome.failure()

@@ -69,6 +69,13 @@ def test_depth1_is_base_code(gf8):
     assert il.encode(u) == rs.encode(u)
 
 
+def test_depth_must_be_a_positive_integer(gf8):
+    rs = RSCode(gf8, 7, 5)
+    for depth in (0, -1, 2.5):
+        with pytest.raises(InvalidSpan):
+            InterleavedCode(rs, depth)
+
+
 def test_burst_touches_each_column_once():
     # structural property of the row-order read-out
     n, m = 7, 4
@@ -242,6 +249,22 @@ def test_product_recovers_row_beyond_inner_capability(gf8):
     out = pc.decode([tuple(r) for r in corrupt])
     assert out.corrected
     assert out.codeword == pc.serialize(arr)
+
+
+def test_product_error_vector_is_received_minus_codeword(gf8):
+    pc = ProductCode(RSCode(gf8, 7, 3), RSCode(gf8, 7, 5))
+    rng = random.Random(42)
+    for _ in range(20):
+        info = [[rng.randrange(8) for _ in range(pc.k2)] for _ in range(pc.k1)]
+        word = list(pc.serialize(pc.encode(info)))
+        # two errors in one row (beyond the inner code) and one elsewhere
+        for pos in rng.sample(range(7), 2) + [7 + rng.randrange(42)]:
+            word[pos] = gf8.add(word[pos], rng.randrange(1, 8))
+        out = pc.decode(pc.deserialize(word))
+        assert out.corrected and out.info == pc.serialize(info)
+        err = tuple(gf8.sub(r, c) for r, c in zip(word, out.codeword))
+        assert any(err) and out.error_vector == err
+        assert out.error_positions == tuple(i for i, e in enumerate(err) if e)
 
 
 def test_product_miscorrected_row_fixed_by_outer(gf8):

@@ -200,6 +200,20 @@ def test_monte_carlo_perfect_code_tail(gf2):
     assert abs(mc["P_err_hat"] - exact) <= 3 * mc["P_err_stderr"]
 
 
+@pytest.mark.parametrize("p,trials,seed,name", [
+    (2.0, 100, 1, "p"),
+    (-0.1, 100, 1, "p"),
+    (float("nan"), 100, 1, "p"),
+    (0.1, 0, 1, "trials"),
+    (0.1, 100.0, 1, "trials"),
+    (0.1, 100, -1, "seed"),
+    (0.1, 100, 1.5, "seed"),
+])
+def test_monte_carlo_rejects_bad_arguments(c5, arr5, p, trials, seed, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        monte_carlo(c5, arr5, p, trials, seed)
+
+
 def test_monte_carlo_generic_decoder_golay(gf2):
     # the [23,12] code is perfect, so its block-error rate equals the
     # weight > 3 tail exactly

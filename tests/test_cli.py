@@ -3,7 +3,7 @@
 import pytest
 
 from blockfec.cli import main
-from blockfec.codespec import build, parse_field, parse_spec
+from blockfec.codespec import SpecError, build, parse_field, parse_spec
 
 
 def run(capsys, *argv):
@@ -53,6 +53,20 @@ def test_build_families():
     ]:
         built = build(text)
         assert (built.n, built.k) == (n, k), text
+
+
+@pytest.mark.parametrize("text,key,family", [
+    ("rs:field=GF(2^4)[1,1,0,0,1],n=15,k=9,shorten_by=5", "shorten_by", "rs"),
+    ("bch:field=GF(2^4)[1,1,0,0,1],sub=2,d=7,m=0", "m", "bch"),
+    ("golay24:r=3", "r", "golay24"),
+    ("interleaved:depth=2,base={hamming:r=3,n=7}", "n", "hamming"),
+])
+def test_build_rejects_unknown_parameters(capsys, text, key, family):
+    with pytest.raises(SpecError, match=f"{key!r} for family {family!r}"):
+        build(text)
+    status, out, err = run(capsys, "decode", "--code", text, "--received", "0")
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and repr(key) in err
 
 
 # -- field table -------------------------------------------------------------------
@@ -340,6 +354,21 @@ def test_product_policy_flags(capsys):
         "--received", "0,0,0,0,0,0,0", "--rerun-inner",
     )
     assert status == 1
+
+
+def test_product_decode_record_lists_corrected_positions(capsys):
+    message = ",".join(["a2"] * 15)
+    _, encoded, _ = run(capsys, "encode", "--code", PRODUCT, "--message", message)
+    word = encoded.strip().split(",")
+    word[3] = "a1" if word[3] != "a1" else "a3"
+    word[30] = "0" if word[30] != "0" else "1"
+    status, out, _ = run(capsys, "decode", "--code", PRODUCT,
+                         "--received", ",".join(word), "--format", "record")
+    assert status == 0
+    record = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert record["verdict"] == "corrected"
+    assert record["error_positions"] == "3,30"
+    assert len(record["error_values"].split(",")) == 2
 
 
 def test_analyze(capsys):

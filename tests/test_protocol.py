@@ -13,6 +13,7 @@ from blockfec import FiniteField, RSCode, golay23_decode, golay24_decode, monte_
 from blockfec.cli import main
 from blockfec.codespec import build
 from blockfec.errors import FecError, InvalidParams, InvalidSymbol, LengthMismatch
+from blockfec.linear import ReceivedWord
 
 GF8 = "GF(2^3)[1,1,0,1]"
 GF16 = "GF(2^4)[1,1,0,0,1]"
@@ -245,3 +246,65 @@ def test_numpy_integers_are_accepted(name):
     as_numpy = np.array(word, dtype=np.int64)
     assert ch.built.decode(as_numpy, np.array([1])) == ch.built.decode(tuple(word), (1,))
     assert tuple(ch.built.encode(np.array(u, dtype=np.uint8))) == tuple(c)
+
+
+# -- the outcome contract ----------------------------------------------------
+
+# RS and BCH outcomes index the mother code and list every erased
+# position, even one whose error value is 0; every other family reports
+# received - codeword and its support.
+RS_LIKE = ("rs", "rs_shortened", "rs_pgz", "bch")
+
+
+def assert_received_minus_codeword(built, word, erasures):
+    out = built.decode(tuple(word), erasures)
+    assert out.corrected
+    received = ReceivedWord.make(word, erasures).symbols
+    err = tuple(map(built.field.sub, received, out.codeword))
+    assert out.error_vector == err
+    assert out.error_positions == tuple(i for i, e in enumerate(err) if e)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name not in RS_LIKE])
+def test_error_vector_is_received_minus_codeword(name):
+    spec, t, s, _ = CASES[name]
+    ch = Channel(name, build(spec))
+    for _ in range(TRIALS):
+        _, c = ch.send()
+        word = list(c)
+        positions = ch.rng.sample(range(ch.built.n), t + s)
+        ch.hit(word, positions[:t])
+        ch.erase(word, positions[t:])
+        assert_received_minus_codeword(ch.built, word, positions[t:])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_compositions_report_received_minus_codeword(name):
+    # RS and BCH included: an interleave or a product of them reports
+    # in its own coordinates
+    spec, _, _, partner = CASES[name]
+    for composed in (f"interleaved:depth=2,base={{{spec}}}",
+                     f"product:outer={{{partner}}},inner={{{spec}}}"):
+        ch = Channel(name, build(composed))
+        for _ in range(TRIALS):
+            _, c = ch.send()
+            word = list(c)
+            ch.hit(word, [ch.rng.randrange(ch.built.n)])
+            assert_received_minus_codeword(ch.built, word, ())
+
+
+@pytest.mark.parametrize("spec", ["hamming:r=4", f"interleaved:depth=4,base={{{RS75}}}"])
+def test_a_decode_builds_one_received_word(spec, monkeypatch):
+    code = build(spec).code
+    word = list(code.encode((1,) * code.k))
+    word[0] ^= 1
+    make = ReceivedWord.make.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ReceivedWord, "make", classmethod(counted))
+    assert code.decode(tuple(word)).corrected
+    assert len(calls) == 1
