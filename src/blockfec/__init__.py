@@ -12,6 +12,7 @@ from .burst import (
     InterleavedCode,
     ProductCode,
     ProductDecodePolicy,
+    SerialProduct,
     burst_span,
     is_burst,
     product_min_distance,
@@ -78,6 +79,7 @@ __all__ = [
     "ProductDecodePolicy",
     "ReceivedWord",
     "RSCode",
+    "SerialProduct",
     "StandardArray",
     "burst_span",
     "capacity",

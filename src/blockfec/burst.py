@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
-from .linear import DecodeOutcome, ReceivedWord, check_word, received
+from .linear import DecodeOutcome, ReceivedWord, as_received, check_word, received
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class InterleavedCode:
         if not isinstance(depth, Integral) or depth < 1:
             raise InvalidSpan(f"depth must be an integer >= 1, got {depth!r}")
         if isinstance(base, ProductCode):
-            raise InvalidParams("a product code cannot be interleaved")
+            raise InvalidParams("interleave a SerialProduct, not a 2-D ProductCode")
         self.base = base
         self.depth = depth
         self.field = base.field
@@ -142,13 +142,13 @@ class ProductCode:
     [n2,k2] code on rows; read-out is row order.
 
     `field`, `n` = n1 n2 and `k` = k1 k2 describe the serialized code,
-    but `encode` and `decode` work on k1 x k2 and n1 x n2 arrays, so a
-    product is not itself a valid part of another composition.
+    but `encode` and `decode` work on k1 x k2 and n1 x n2 arrays; its
+    `SerialProduct` is the flat code that composes like any other.
     """
 
     def __init__(self, outer, inner):
         if isinstance(outer, ProductCode) or isinstance(inner, ProductCode):
-            raise InvalidParams("a product code cannot be a part of a product")
+            raise InvalidParams("a part must be a SerialProduct, not a 2-D ProductCode")
         if outer.field != inner.field:
             raise InvalidParams(
                 f"outer code over {outer.field!r} and inner code over "
@@ -190,21 +190,22 @@ class ProductCode:
             word[i * self.n2:(i + 1) * self.n2] for i in range(self.n1)
         )
 
-    def decode(self, array, policy: ProductDecodePolicy = ProductDecodePolicy()):
-        """Stage 1 decodes the rows and erases those it gives up on;
-        stage 2 decodes the columns with those erasures.  Rows that
-        stage 2 filled in or changed are then checked by the inner
-        decoder, so only product codewords are ever emitted."""
+    def decode(self, array, policy=ProductDecodePolicy(), erasures=()):
+        """Stage 1 decodes the rows, each with its share of the row-order
+        `erasures`, and erases those it gives up on; stage 2 decodes the
+        columns with those erasures.  Rows stage 2 filled in or changed are
+        rechecked by the inner decoder, so only product codewords are emitted."""
         rows = [tuple(r) for r in array]
         if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
             raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
-        word = self.serialize(rows)   # stage 1 overwrites the rows
+        word = as_received(self.serialize(rows), erasures)   # before stage 1
 
         # stage 1: inner decoding; failures erase the whole row
         row_outs = []     # the inner outcome of each row, None if erased
         erased_rows = []
         for i, row in enumerate(rows):
-            out = self.inner.decode(row)
+            erased = [p % self.n2 for p in word.erasures if p // self.n2 == i]
+            out = self.inner.decode(row, erased)
             bad = not out.corrected
             if not bad and policy.max_inner_errors is not None:
                 bad = len(out.error_positions) > policy.max_inner_errors
@@ -255,8 +256,29 @@ class ProductCode:
             out = row_outs[i] if a == result[i] else self.inner.decode(a)
             info.extend(out.info)
         return DecodeOutcome.correction(
-            self.field, word, self.serialize(result), tuple(info)
+            self.field, word.symbols, self.serialize(result), tuple(info)
         )
+
+
+class SerialProduct:
+    """A ProductCode as a flat code decoded under one `policy`: messages
+    and words in row order, so it composes like any other code."""
+
+    def __init__(self, product, policy=ProductDecodePolicy()):
+        self.product, self.policy = product, policy
+        self.field, self.subfield = product.field, product.subfield
+        self.n, self.k = product.n, product.k
+        self.inner, self.n1, self.n2 = product.inner, product.n1, product.n2
+
+    def encode(self, u):
+        p = self.product
+        u = check_word(tuple(u), self.k, self.subfield)
+        return p.serialize(p.encode([u[i * p.k2:(i + 1) * p.k2] for i in range(p.k1)]))
+
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        w = received(self, word, erasures)
+        p = self.product
+        return p.decode(p.deserialize(w.symbols), self.policy, w.erasures)
 
 
 def product_min_distance(outer, inner) -> int:

@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 
 from .bch import BCHCode
-from .burst import ProductCode, reiger_report
+from .burst import reiger_report
 from .channel import event_polynomials, monte_carlo
-from .codespec import SpecError, build, parse_field
+from .codespec import SpecError, build, parse_field, parse_spec
 from .cyclic import CyclicCode
 from .errors import FecError, TooLarge
 from .galois import LOG_ZERO
@@ -86,17 +86,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    built = build(args.code)
+    spec = parse_spec(args.code)
+    if args.rerun_inner:
+        spec.add("rerun_inner", "1")
+    if args.max_inner_errors is not None:
+        spec.add("max_inner_errors", str(args.max_inner_errors))
+    built = build(spec)
     received = _parse_word(built.field, args.received)
     erasures = tuple(_number("--erasures", x) for x in args.erasures.split(",") if x)
-    kwargs = {}
-    if args.rerun_inner:
-        kwargs["rerun_inner"] = True
-    if args.max_inner_errors is not None:
-        kwargs["max_inner_errors"] = args.max_inner_errors
-    if kwargs and not isinstance(built.code, ProductCode):
-        raise ValueError("inner-decode policy flags apply to product codes")
-    out = built.decode(received, erasures=erasures, **kwargs)
+    out = built.decode(received, erasures=erasures)
     fld = built.field
     if args.format == "record":
         print(f"verdict={out.verdict}")

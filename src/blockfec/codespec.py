@@ -13,7 +13,9 @@ radix-p digit groups.  Nested codes use braces:
 
     interleaved:depth=4,base={rs:field=GF(2^3)[1,1,0,1],n=7,k=5}
 
-Parsing then rendering a canonical spec is the identity.
+A key may be given once.  A product builds a `SerialProduct`, which nests
+like any other code; rerun_inner=0|1 and max_inner_errors=<int> set its
+decode policy.  Parsing then rendering a canonical spec is the identity.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .bch import BCHCode
-from .burst import InterleavedCode, ProductCode, ProductDecodePolicy
+from .burst import InterleavedCode, ProductCode, ProductDecodePolicy, SerialProduct
 from .cyclic import CyclicCode
 from .errors import FecError
 from .galois import FiniteField, GF
-from .linear import LinearCode, MatrixGF, check_word
+from .linear import LinearCode, MatrixGF
 from .named_codes import GolayCode, HammingCode
 from .poly import Poly
 from .reed_solomon import RSCode
@@ -41,7 +43,7 @@ _KEYS = {
     "rs": {"field", "n", "k", "m0", "shorten", "decoder"},
     "bch": {"field", "sub", "d", "m0"},
     "interleaved": {"depth", "base"},
-    "product": {"outer", "inner"},
+    "product": {"outer", "inner", "rerun_inner", "max_inner_errors"},
 }
 FAMILIES = tuple(_KEYS)
 
@@ -56,6 +58,11 @@ class SpecError(FecError):
 class CodeSpec:
     family: str
     params: dict = dc_field(default_factory=dict)
+
+    def add(self, key, value):
+        if key in self.params:
+            raise SpecError(f"parameter {key!r} given twice")
+        self.params[key] = value
 
     def render(self) -> str:
         if not self.params:
@@ -111,7 +118,7 @@ def parse_spec(text: str) -> CodeSpec:
     family = family.strip()
     if family not in FAMILIES:
         raise SpecError(f"unknown family {family!r}")
-    params = {}
+    spec = CodeSpec(family)
     if rest:
         for item in _split_top(rest, ","):
             if "=" not in item:
@@ -119,26 +126,24 @@ def parse_spec(text: str) -> CodeSpec:
             key, val = item.split("=", 1)
             key, val = key.strip(), val.strip()
             if val.startswith("{") and val.endswith("}"):
-                params[key] = parse_spec(val[1:-1])
-            else:
-                params[key] = val
-    return CodeSpec(family, params)
+                val = parse_spec(val[1:-1])
+            spec.add(key, val)
+    return spec
 
 
 class BuiltCode:
-    """A code object with flat encode and decode entry points for the
-    CLI: the code's own, except for a product code, whose arrays are
-    serialized in row order."""
+    """A code object with the spec it was built from; `encode` and
+    `decode` are the code's own."""
 
-    def __init__(self, spec, code, encode=None, decode=None):
+    def __init__(self, spec, code):
         self.spec = spec
         self.code = code
         self.field = code.field
         self.subfield = code.subfield
         self.n = code.n
         self.k = code.k
-        self.encode = encode or code.encode
-        self.decode = decode or code.decode
+        self.encode = code.encode
+        self.decode = code.decode
 
 
 def _parse_symbols(field, text: str):
@@ -168,8 +173,8 @@ def _param(params, key):
     return params[key]
 
 
-def _int(params, key, default=None):
-    if key not in params and default is not None:
+def _int(params, key, default=...):   # no default: the key is required
+    if key not in params and default is not ...:
         return default
     try:
         return int(_param(params, key))
@@ -238,20 +243,10 @@ def build(spec) -> BuiltCode:
         return BuiltCode(spec, InterleavedCode(base.code, _int(params, "depth")))
 
     if family == "product":
+        rerun = params.get("rerun_inner", "0")
+        if rerun not in ("0", "1"):
+            raise SpecError(f"rerun_inner must be 0 or 1, got {rerun!r}")
+        policy = ProductDecodePolicy(_int(params, "max_inner_errors", None), rerun == "1")
         code = ProductCode(build(_param(params, "outer")).code,
                            build(_param(params, "inner")).code)
-
-        def encode(u):
-            u = check_word(tuple(u), code.k, code.subfield)
-            rows = [u[i * code.k2:(i + 1) * code.k2] for i in range(code.k1)]
-            return code.serialize(code.encode(rows))
-
-        def decode(w, erasures=(), rerun_inner=False, max_inner_errors=None):
-            if erasures:
-                raise SpecError("product codes take no erasures")
-            policy = ProductDecodePolicy(
-                max_inner_errors=max_inner_errors, rerun_inner=rerun_inner
-            )
-            return code.decode(code.deserialize(w), policy)
-
-        return BuiltCode(spec, code, encode, decode)
+        return BuiltCode(spec, SerialProduct(code, policy))

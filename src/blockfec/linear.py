@@ -184,13 +184,14 @@ class MatrixGF:
         f = self.field
         if len(v) != len(self.rows):
             raise LengthMismatch(f"vector length {len(v)} vs {len(self.rows)} rows")
+        add = xor if f.p == 2 else f.add
         acc = [0] * self.shape[1]
         for a, row in zip(v, self.rows):
             # zero entries add nothing; a unit weight needs no product
             if a == 1:
-                acc = [f.add(x, y) if y else x for x, y in zip(acc, row)]
+                acc = list(map(add, acc, row))
             elif a:
-                acc = [f.add(x, f.mul(a, y)) if y else x for x, y in zip(acc, row)]
+                acc = [add(x, f.mul(a, y)) if y else x for x, y in zip(acc, row)]
         return tuple(acc)
 
     def rref(self):

@@ -13,13 +13,14 @@ from blockfec import (
     ProductCode,
     ProductDecodePolicy,
     RSCode,
+    SerialProduct,
     burst_span,
     is_burst,
     product_min_distance,
     reiger_report,
     rs_binary_burst_efficiency,
 )
-from blockfec.errors import InvalidSpan
+from blockfec.errors import InvalidParams, InvalidSpan
 
 
 # -- burst predicates ----------------------------------------------------------
@@ -401,3 +402,58 @@ def test_product_beyond_capability_emits_no_noncodeword():
     out = built.decode(tuple(c ^ e for c, e in zip(sent, err)))
     if out.corrected:
         assert built.encode(out.info) == out.codeword
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_product_erasure_decoding_is_exhaustively_right(k1, k2):
+    """RS(3,k1) x RS(3,k2) over GF(4), every one of the 2^9 erasure sets:
+    a row with at most d2 - 1 erasures is filled by the inner decoder,
+    and at most d1 - 1 rows beyond that are filled by the outer one."""
+    from itertools import combinations
+
+    gf4 = FiniteField(2, 2)
+    code = SerialProduct(ProductCode(RSCode(gf4, 3, k1), RSCode(gf4, 3, k2)))
+    d1, d2 = 4 - k1, 4 - k2
+    rng = random.Random(f"{k1}{k2}")
+    for _ in range(2):
+        msg = tuple(rng.randrange(4) for _ in range(code.k))
+        sent = code.encode(msg)
+        for size in range(code.n + 1):
+            for erased in combinations(range(code.n), size):
+                word = [c ^ 1 if i in erased else c for i, c in enumerate(sent)]
+                out = code.decode(word, erased)
+                heavy = sum(sum(1 for p in erased if p // 3 == row) > d2 - 1
+                            for row in range(3))
+                if heavy <= d1 - 1:
+                    assert out.corrected, erased
+                    assert (out.codeword, out.info) == (sent, msg), erased
+                elif out.corrected:
+                    assert code.encode(out.info) == out.codeword, erased
+
+
+def test_a_2d_product_is_not_a_part(gf8):
+    pc = ProductCode(RSCode(gf8, 7, 3), RSCode(gf8, 7, 5))
+    with pytest.raises(InvalidParams, match="SerialProduct"):
+        InterleavedCode(pc, 2)
+    with pytest.raises(InvalidParams, match="SerialProduct"):
+        ProductCode(pc, RSCode(gf8, 7, 5))
+    # its SerialProduct is
+    nested = ProductCode(SerialProduct(pc), RSCode(gf8, 7, 5))
+    assert (nested.n, nested.k) == (49 * 7, 15 * 5)
+    assert InterleavedCode(SerialProduct(pc), 2).n == 98
+
+
+def test_product_2d_decode_takes_row_order_erasures(gf8):
+    pc = ProductCode(RSCode(gf8, 7, 3), RSCode(gf8, 7, 5))
+    info = [[1, 2, 3, 4, 5]] * 3
+    arr = [list(row) for row in pc.encode(info)]
+    # three erasures in row 0 are beyond the inner RS(7,5): the outer
+    # code fills that row; one more in row 4 the inner code fills
+    erasures = (0, 1, 2, 4 * 7 + 6)
+    for p in erasures:
+        arr[p // 7][p % 7] ^= 5
+    out = pc.decode(arr, ProductDecodePolicy(), erasures)
+    assert out.corrected
+    assert out.codeword == pc.serialize(pc.encode(info))
+    # erased symbols read as zeros, and the codeword is nonzero there
+    assert out.error_positions == erasures

@@ -69,6 +69,19 @@ def test_build_rejects_unknown_parameters(capsys, text, key, family):
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("rs:field=GF(2^3),n=7,k=5,k=3", "'k' given twice"),
+    ("interleaved:depth=2,base={hamming:r=3,r=4}", "'r' given twice"),
+    ("product:outer={hamming:r=3},inner={hamming:r=3},rerun_inner=yes",
+     "rerun_inner must be 0 or 1"),
+    ("product:outer={hamming:r=3},inner={hamming:r=3},max_inner_errors=x",
+     "bad integer for 'max_inner_errors'"),
+])
+def test_build_rejects_repeated_keys_and_bad_policies(text, message):
+    with pytest.raises(SpecError, match=message):
+        build(text)
+
+
 # -- field table -------------------------------------------------------------------
 
 def test_field_table(capsys):
@@ -392,30 +405,75 @@ PRODUCT = ("product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},"
         ("encode", "--code",
          "product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},inner={golay24}",
          "--message", ",".join(["a1"] * 36)),
-        # a product is not a part of a composition
-        ("encode", "--code", f"interleaved:depth=2,base={{{PRODUCT}}}",
-         "--message", ",".join(["0"] * 30)),
-        ("encode", "--code", f"product:outer={{{PRODUCT}}},inner={{{RS73}}}",
-         "--message", ",".join(["0"] * 45)),
         # unknown RS decoder
         ("decode", "--code", RS73 + ",decoder=bogus",
          "--received", "0,0,0,0,0,0,0"),
-        # product decoding takes no erasures
-        ("decode", "--code", PRODUCT, "--received", ",".join(["0"] * 49),
-         "--erasures", "3"),
         # no non-systematic encoder
         ("encode", "--code", "hamming:r=3", "--message", "1,0,1,1",
          "--nonsystematic"),
         # a nested code that is missing
         ("encode", "--code", "interleaved:depth=2", "--message", "0"),
+        # a key given twice
+        ("encode", "--code", "rs:field=GF(2^3)[1,1,0,1],n=7,k=5,k=3",
+         "--message", "0,0,0"),
     ],
-    ids=["mixed-fields", "product-in-interleaved", "product-in-product",
-         "unknown-decoder", "product-erasures", "no-nonsystematic", "missing-base"],
+    ids=["mixed-fields", "unknown-decoder", "no-nonsystematic", "missing-base",
+         "duplicate-key"],
 )
 def test_bad_compositions_and_specs_exit_1(capsys, argv):
     status, out, err = run(capsys, *argv)
     assert status == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code", [
+    f"interleaved:depth=2,base={{{PRODUCT}}}",
+    f"product:outer={{{PRODUCT}}},inner={{{RS73}}}",
+], ids=["product-in-interleaved", "product-in-product"])
+def test_nested_product_round_trip(capsys, code):
+    built = build(code)
+    message = ",".join(["a3", "0", "a5"] * (built.k // 3))
+    status, encoded, _ = run(capsys, "encode", "--code", code, "--message", message)
+    assert status == 0
+    word = encoded.strip().split(",")
+    word[5] = "a1" if word[5] != "a1" else "a2"
+    status, out, _ = run(capsys, "decode", "--code", code,
+                         "--received", ",".join(word), "--format", "record")
+    assert status == 0
+    record = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert record["codeword"] == encoded.strip()
+    assert record["info"] == message
+    assert record["error_positions"] == "5"
+
+
+def test_product_decode_fills_an_erasure(capsys):
+    message = ",".join(["a2"] * 15)
+    _, encoded, _ = run(capsys, "encode", "--code", PRODUCT, "--message", message)
+    word = encoded.strip().split(",")
+    word[3] = "a1" if word[3] != "a1" else "a3"
+    status, out, _ = run(capsys, "decode", "--code", PRODUCT, "--received",
+                         ",".join(word), "--erasures", "3", "--format", "record")
+    assert status == 0
+    record = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert record["codeword"] == encoded.strip()
+    assert record["info"] == message
+
+
+def test_policy_flags_set_the_product_spec_keys(capsys):
+    message = ",".join(["a2"] * 15)
+    _, encoded, _ = run(capsys, "encode", "--code", PRODUCT, "--message", message)
+    word = encoded.strip().split(",")
+    word[8] = "a1" if word[8] != "a1" else "a3"
+    argv = ["decode", "--received", ",".join(word), "--format", "record"]
+    by_flags = run(capsys, *argv, "--code", PRODUCT,
+                   "--rerun-inner", "--max-inner-errors", "0")
+    by_keys = run(capsys, *argv,
+                  "--code", PRODUCT + ",rerun_inner=1,max_inner_errors=0")
+    assert by_flags == by_keys and by_flags[0] == 0
+    # a flag may not repeat a key the spec already sets
+    status, _, err = run(capsys, *argv, "--code", PRODUCT + ",rerun_inner=1",
+                         "--rerun-inner")
+    assert status == 1 and "'rerun_inner' given twice" in err
 
 
 def test_simulate_nonbinary_extension_field_uses_family_decoder(capsys):

@@ -40,6 +40,10 @@ CASES = {
     # RS(7,3) interleave within 2t + s <= 4
     "interleaved": (f"interleaved:depth=2,base={{rs:field={GF8},n=7,k=3}}", 1, 2,
                     RS75),
+    # one error and one erasure anywhere leave at most one row that the
+    # inner RS(7,5) erases or miscorrects, which costs each column of the
+    # outer RS(7,5) one erasure or one error
+    "product": (f"product:outer={{{RS75}}},inner={{{RS75}}}", 1, 1, RS75),
 }
 TRIALS = 12
 
@@ -180,7 +184,7 @@ def test_product_parts_must_share_an_alphabet():
 # -- malformed input ---------------------------------------------------------
 
 MALFORMED = {name: case[0] for name, case in CASES.items()}
-MALFORMED["product"] = f"product:outer={{{HAMMING7}}},inner={{golay24}}"
+MALFORMED["hamming_x_golay"] = f"product:outer={{{HAMMING7}}},inner={{golay24}}"
 
 
 def malformed_words(n, bad):
@@ -199,7 +203,7 @@ def test_malformed_input_raises_a_fec_error(name):
     for word, error in malformed_words(n, bad):
         with pytest.raises(error):
             built.decode(word)
-    # an erasure past the end (a product code takes no erasures at all)
+    # an erasure past the end
     with pytest.raises(FecError):
         built.decode((0,) * n, (n,))
     with pytest.raises(InvalidSymbol):
