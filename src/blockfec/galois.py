@@ -3,11 +3,15 @@
 An element of GF(p^nu) is stored as a plain int in ``range(q)`` that
 packs its coefficient vector (a_0, a_1, ..., a_{nu-1}) in radix p:
 ``a_0 + a_1*p + a_2*p^2 + ...``.  For p = 2 this makes elements the
-usual bitmask integers and addition a XOR.  Multiplication goes through
-the log/antilog tables of a primitive element, so the defining
-polynomial must be primitive, not merely irreducible.  The tables are
-zero-padded (see `FiniteField.__init__`) so that a product is one
-index, and the polynomial kernels index them directly too.
+usual bitmask integers and addition a XOR.  Every field keeps one
+log/antilog table pair of a primitive element, built by `_exp_table`
+(a prime field's modulus is x - g for its smallest generator g), so the
+defining polynomial must be primitive, not merely irreducible.
+Multiplication and negation go through that pair, and so does addition
+in odd characteristic, through one table of Zech logarithms
+log(1 + alpha^i).  The tables are zero-padded (see
+`FiniteField.__init__`) so that a product is one index, and the
+polynomial kernels index them directly too.
 
 The module-level checks on defining polynomials take coefficient lists
 over the prime field GF(p), lowest degree first, and run on `Poly`
@@ -22,6 +26,7 @@ from math import gcd
 from .errors import (
     DivisionByZero,
     InvalidSubfield,
+    InvalidSymbol,
     NotIrreducible,
     NotPrime,
     NotPrimitive,
@@ -152,10 +157,8 @@ class FiniteField:
             if modulus is not None:
                 raise ValueError("prime fields take no defining polynomial")
             self.modulus = None
-            g = _smallest_generator(p)
-            exp = [1] * (q - 1)
-            for i in range(1, q - 1):
-                exp[i] = (exp[i - 1] * g) % p
+            # x mod (x - g) is g, so this modulus lists the powers of g
+            modulus = ((p - _smallest_generator(p)) % p, 1)
         else:
             if modulus is None:
                 modulus = default_modulus(p, nu)
@@ -165,35 +168,30 @@ class FiniteField:
             if not is_irreducible(list(modulus), p):
                 raise NotIrreducible(f"{list(modulus)} factors over GF({p})")
             self.modulus = modulus
-            exp = _exp_table(modulus, p)
-            # the table lists x^i mod f: x is primitive iff it does not
-            # return to 1 before q - 1 steps
-            if 1 in exp[1:]:
-                raise NotPrimitive(
-                    f"{list(modulus)} is irreducible but not primitive"
-                )
+        exp = _exp_table(modulus, p)
+        # the table lists x^i mod f: x is primitive iff it does not
+        # return to 1 before q - 1 steps
+        if 1 in exp[1:]:
+            raise NotPrimitive(f"{list(modulus)} is irreducible but not primitive")
 
-        # The one log/exp table pair, zero-padded: _exp_pad holds exp
-        # twice, then 2(q-1) + 1 zeros, and _log_pad[0] = 2(q-1) points
-        # at the first of those zeros.  Then
-        # _exp_pad[_log_pad[a] + _log_pad[b]] is a*b for every a and b,
-        # zero included, with no zero test and no reduction mod q - 1.
+        # The one log/exp table pair, zero-padded (odd p adds the Zech
+        # table below): _exp_pad holds exp twice, then 2(q-1) + 1 zeros,
+        # and _log_pad[0] = 2(q-1) points at the first of those zeros.
+        # Then _exp_pad[_log_pad[a] + _log_pad[b]] is a*b for every a and
+        # b, zero included, with no zero test and no reduction mod q - 1.
         zero_log = 2 * (q - 1)
         self._exp_pad = exp + exp + [0] * (zero_log + 1)
         self._log_pad = [zero_log] * q
         for i, v in enumerate(exp):
             self._log_pad[v] = i
         self.alpha = exp[1] if q > 2 else 1
-
-        if p == 2:
-            self._add_table = None
-        elif q <= 256:
-            self._add_table = [
-                [self._add_slow(a, b) for b in range(q)] for a in range(q)
-            ]
-        else:
-            self._add_table = None
-        self._neg_table = [self._neg_slow(a) for a in range(q)] if p != 2 else None
+        # log(-1): -1 = alpha^((q-1)/2) in odd characteristic, 1 for p = 2
+        self._log_minus_one = 0 if p == 2 else (q - 1) // 2
+        # Zech logarithms for odd p: _zech[i] = log(1 + alpha^i), where
+        # 1 + v raises v's radix-p digit 0 by one; zero_log when
+        # 1 + alpha^i = 0.  Then a + b = alpha^(la + _zech[lb - la]).
+        if p != 2:
+            self._zech = [self._log_pad[v - v % p + (v + 1) % p] for v in exp]
 
     # -- element packing ------------------------------------------------
 
@@ -214,57 +212,63 @@ class FiniteField:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        val, mult = 0, 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            val += ((ra + rb) % p) * mult
-            mult *= p
-        return val
-
-    def _neg_slow(self, a: int) -> int:
-        p = self.p
-        val, mult = 0, 1
-        while a:
-            a, ra = divmod(a, p)
-            val += ((-ra) % p) * mult
-            mult *= p
-        return val
+    def _outside(self, *elements) -> InvalidSymbol:
+        """The error for the first of `elements` outside range(q)."""
+        bad = next(a for a in elements if not 0 <= a < self.q)
+        return InvalidSymbol(f"{bad!r} is not an element of {self}")
 
     def add(self, a: int, b: int) -> int:
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise self._outside(a, b)
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log_pad[a]
+        return self._exp_pad[la + self._zech[(self._log_pad[b] - la) % (q - 1)]]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self._neg_table[a]
+        if not 0 <= a < self.q:
+            raise self._outside(a)
+        # zero lands in the zero tail
+        return self._exp_pad[self._log_pad[a] + self._log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        if self.p != 2:
+            return self.add(a, self.neg(b))
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise self._outside(a, b)
+        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise self._outside(a, b)
         return self._exp_pad[self._log_pad[a] + self._log_pad[b]]
 
     def inv(self, a: int) -> int:
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
         return self._exp_pad[self.q - 1 - self._log_pad[a]]
 
     def div(self, a: int, b: int) -> int:
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise self._outside(a, b)
         if b == 0:
             raise DivisionByZero("division by zero")
         # a zero dividend lands in the zero tail
-        return self._exp_pad[self._log_pad[a] + self.q - 1 - self._log_pad[b]]
+        return self._exp_pad[self._log_pad[a] + q - 1 - self._log_pad[b]]
 
     def pow(self, a: int, e: int) -> int:
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         if a == 0:
             if e > 0:
                 return 0
@@ -279,11 +283,15 @@ class FiniteField:
 
     def log(self, a: int):
         """Logarithm of a, or LOG_ZERO (-inf) for the zero element."""
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         if a == 0:
             return LOG_ZERO
         return self._log_pad[a]
 
     def order(self, a: int) -> int:
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         if a == 0:
             raise DivisionByZero("zero has no multiplicative order")
         return (self.q - 1) // gcd(self.q - 1, self._log_pad[a])
@@ -297,6 +305,8 @@ class FiniteField:
     # -- rendering ------------------------------------------------------
 
     def format_element(self, a: int, style: str = "log") -> str:
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         if style == "vector":
             sep = "" if self.p <= 10 else "."
             return sep.join(str(c) for c in self.coeffs(a))
@@ -320,7 +330,7 @@ class FiniteField:
             return val
         if text in ("a", "A"):
             return self.exp(1)
-        if text[0] in "aA" and text[1:].lstrip("-").isdigit():
+        if text.startswith(("a", "A")) and text[1:].lstrip("-").isdigit():
             return self.exp(int(text[1:]))
         if self.nu == 1 and text.isdigit() and int(text) < self.p:
             return int(text)

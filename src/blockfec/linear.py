@@ -32,6 +32,7 @@ from .errors import (
 
 MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays
 MAX_ML_CODEWORDS = 1 << 20    # q^k cap for brute-force decoding
+MAX_HAMMING_R = 8             # r cap for Hamming codes: H is r x (2^r - 1)
 
 
 def hamming_weight(v) -> int:

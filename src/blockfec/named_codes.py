@@ -8,10 +8,10 @@ would have to coincide to go unnoticed.
 
 from __future__ import annotations
 
-from .errors import InvalidParams
+from .errors import InvalidParams, TooLarge
 from .galois import GF
-from .linear import (DecodeOutcome, LinearCode, MatrixGF, as_received,
-                     check_word, received)
+from .linear import (MAX_HAMMING_R, DecodeOutcome, LinearCode, MatrixGF,
+                     as_received, check_word, received)
 
 _GF2 = GF(2)
 
@@ -24,6 +24,8 @@ class HammingCode:
     def __init__(self, r: int):
         if r < 2:
             raise InvalidParams(f"need r >= 2, got {r}")
+        if r > MAX_HAMMING_R:
+            raise TooLarge(f"r = {r} exceeds the Hamming cap {MAX_HAMMING_R}")
         self.r = r
         self.field = _GF2
         self.subfield = _GF2.alphabet

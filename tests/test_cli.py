@@ -416,9 +416,14 @@ PRODUCT = ("product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},"
         # a key given twice
         ("encode", "--code", "rs:field=GF(2^3)[1,1,0,1],n=7,k=5,k=3",
          "--message", "0,0,0"),
+        # a blank symbol
+        ("decode", "--code", "rs:field=GF(2^3)[1,1,0,1],n=7,k=5",
+         "--received", " ,1,0,0,0,0,0"),
+        # a Hamming code too large to build
+        ("encode", "--code", "hamming:r=30", "--message", "1"),
     ],
     ids=["mixed-fields", "unknown-decoder", "no-nonsystematic", "missing-base",
-         "duplicate-key"],
+         "duplicate-key", "blank-symbol", "hamming-too-large"],
 )
 def test_bad_compositions_and_specs_exit_1(capsys, argv):
     status, out, err = run(capsys, *argv)

@@ -21,6 +21,7 @@ from blockfec import (
 from blockfec.errors import (
     DivisionByZero,
     InvalidSubfield,
+    InvalidSymbol,
     NotIrreducible,
     NotPrime,
     NotPrimitive,
@@ -214,6 +215,68 @@ def test_antilog_addition_law(gf16):
     for i in range(n):
         for j in range(n):
             assert gf16.mul(gf16.exp(i), gf16.exp(j)) == gf16.exp((i + j) % n)
+
+
+def digitwise(a, b, p, sign=1):
+    """a + sign*b digit by digit in radix p: the definition of addition
+    that the Zech-logarithm tables must reproduce."""
+    val, mult = 0, 1
+    while a or b:
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        val += ((ra + sign * rb) % p) * mult
+        mult *= p
+    return val
+
+
+# every pair for q <= 251 and seeded pairs for larger fields; GF(256)
+# covers the binary paths
+@pytest.mark.parametrize("p,nu,pairs", [
+    (3, 1, None), (7, 1, None), (3, 2, None), (5, 2, None), (3, 5, None),
+    (251, 1, None), (257, 1, 10**4), (17, 2, 10**4), (3, 6, 10**4),
+    (2, 8, 10**4),
+])
+def test_add_sub_neg_match_digitwise_oracle(p, nu, pairs):
+    f = FiniteField(p, nu)
+    for a in f.elements():
+        assert f.neg(a) == digitwise(0, a, p, -1)
+    if pairs is None:
+        todo = itertools.product(f.elements(), repeat=2)
+    else:
+        rng = random.Random(pairs + f.q)
+        todo = ((rng.randrange(f.q), rng.randrange(f.q)) for _ in range(pairs))
+    for a, b in todo:
+        assert f.add(a, b) == digitwise(a, b, p)
+        assert f.sub(a, b) == digitwise(a, b, p, -1)
+
+
+# every method that takes an element, with x in one element slot
+ELEMENT_CALLS = {
+    "add(x,1)": lambda f, x: f.add(x, 1),
+    "add(1,x)": lambda f, x: f.add(1, x),
+    "sub(x,1)": lambda f, x: f.sub(x, 1),
+    "sub(1,x)": lambda f, x: f.sub(1, x),
+    "neg(x)": lambda f, x: f.neg(x),
+    "mul(x,1)": lambda f, x: f.mul(x, 1),
+    "mul(1,x)": lambda f, x: f.mul(1, x),
+    "div(x,1)": lambda f, x: f.div(x, 1),
+    "div(1,x)": lambda f, x: f.div(1, x),
+    "inv(x)": lambda f, x: f.inv(x),
+    "pow(x,2)": lambda f, x: f.pow(x, 2),
+    "log(x)": lambda f, x: f.log(x),
+    "order(x)": lambda f, x: f.order(x),
+    "format_element(x)": lambda f, x: f.format_element(x),
+    "format_element(x,vector)": lambda f, x: f.format_element(x, "vector"),
+}
+
+
+@pytest.mark.parametrize("call", ELEMENT_CALLS.values(), ids=ELEMENT_CALLS.keys())
+@pytest.mark.parametrize("bad", ["-1", "q"])
+@pytest.mark.parametrize("p,nu", [(2, 3), (3, 2)])
+def test_out_of_range_element_raises(p, nu, bad, call):
+    f = FiniteField(p, nu)
+    with pytest.raises(InvalidSymbol):
+        call(f, -1 if bad == "-1" else f.q)
 
 
 # -- conjugacy and minimal polynomials ----------------------------------------
