@@ -198,7 +198,12 @@ class ProductCode:
         rows = [tuple(r) for r in array]
         if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
             raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
-        word = as_received(self.serialize(rows), erasures)   # before stage 1
+        return self._decode_received(as_received(self.serialize(rows), erasures),
+                                     policy)
+
+    def _decode_received(self, word: ReceivedWord, policy) -> DecodeOutcome:
+        """`decode` of the length-n row-order `word`."""
+        rows = list(self.deserialize(word.symbols))
 
         # stage 1: inner decoding; failures erase the whole row
         row_outs = []     # the inner outcome of each row, None if erased
@@ -276,9 +281,8 @@ class SerialProduct:
         return p.serialize(p.encode([u[i * p.k2:(i + 1) * p.k2] for i in range(p.k1)]))
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        w = received(self, word, erasures)
-        p = self.product
-        return p.decode(p.deserialize(w.symbols), self.policy, w.erasures)
+        return self.product._decode_received(received(self, word, erasures),
+                                             self.policy)
 
 
 def product_min_distance(outer, inner) -> int:

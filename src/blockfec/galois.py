@@ -70,7 +70,7 @@ def _pack(coeffs, p: int) -> int:
     """Radix-p packing of a coefficient vector, lowest degree first."""
     val = 0
     for c in reversed(coeffs):
-        val = val * p + (c % p)
+        val = val * p + c
     return val
 
 
@@ -200,10 +200,15 @@ class FiniteField:
         coeffs = list(coeffs)
         if len(coeffs) != self.nu:
             raise ValueError(f"need {self.nu} coefficients, got {len(coeffs)}")
+        bad = [c for c in coeffs if not 0 <= c < self.p]
+        if bad:
+            raise InvalidSymbol(f"{bad[0]!r} is not a digit of GF({self.p})")
         return _pack(coeffs, self.p)
 
     def coeffs(self, a: int):
         """Coefficient vector (a_0, ..., a_{nu-1}) of an element."""
+        if not 0 <= a < self.q:
+            raise self._outside(a)
         out = []
         for _ in range(self.nu):
             a, r = divmod(a, self.p)

@@ -23,6 +23,9 @@ NEG_INF = float("-inf")
 
 
 class Poly:
+    """A polynomial over `field`.  Immutable: no operation changes its
+    coefficient tuple, so one Poly may be shared between decode outcomes."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -137,16 +140,19 @@ class Poly:
         dn = len(other.coeffs) - 1
         lb = [log[bi] for bi in other.coeffs[:-1]]
         l_inv = log[f.inv(other.lc)]
+        # h = log(-1), 0 for p = 2, so log(-a) = log(a) + h mod q - 1
+        h, order = f._log_minus_one, f.q - 1
         quo = [0] * max(0, len(rem) - dn)
         add = xor if f.p == 2 else f.add
         for shift in range(len(quo) - 1, -1, -1):
             top = rem[shift + dn]
             if not top:
                 continue
-            factor = exp[log[top] + l_inv]
-            quo[shift] = factor
-            # subtracting factor * b_i is adding exp[lf + lb_i]
-            lf = log[f.neg(factor)]
+            lt = log[top] + l_inv
+            quo[shift] = exp[lt]
+            # subtracting quo[shift] * b_i is adding exp[lf + lb_i], with
+            # lf = log(-quo[shift]) reduced to stay inside the padded table
+            lf = (lt + h) % order
             for j, lbj in enumerate(lb, shift):
                 rem[j] = add(rem[j], exp[lf + lbj])
         return Poly(f, quo), Poly(f, rem[:dn])

@@ -21,12 +21,20 @@ sigma and omega are known, every stage is shared: the Chien search,
 the Forney values and the final re-check.  A word is only ever emitted
 if its error polynomial reproduces every syndrome, so the decoders
 never output a non-codeword.
+
+Everything from the erasure locator to the re-check verdict is a
+function of (S, erasure set, solver) alone (Berlekamp 1968), so a code
+memoises that stage where the keys are few.  Words with t erasures have
+q^(n-k) syndromes times C(n, t) erasure sets as keys; they are memoised
+for every t up to the first whose keys outnumber MEMO_KEYS.  A memoised
+word costs its syndromes and the emitted outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import xor
 
 from .cyclic import CyclicCode
@@ -40,10 +48,20 @@ from .linear import (
 )
 from .poly import Poly
 
+# words whose erasure count gives at most MEMO_KEYS keys have their
+# key-equation stage memoised, in a dict cleared once it holds MEMO_CAP
+# entries
+MEMO_KEYS = 1 << 12
+MEMO_CAP = 1 << 12
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class KeyEquationState:
-    """Internals of a decoding attempt, for inspection and tests."""
+    """Internals of a decoding attempt, for inspection and tests.
+
+    Immutable, like the `Poly` fields it holds, so one state may be
+    shared by the outcomes of every word with the same syndrome and
+    erasures."""
 
     syndrome: Poly        # S(x), coefficients S_{m0+j} low-first
     s_hat: Poly           # sigma2 * S, the generalized syndrome
@@ -68,6 +86,10 @@ class RSCode:
 
     `decode` runs the key-equation solver named by `decoder`, "euclid"
     or "pgz"; `euclid_decode` and `pgz_decode` name it explicitly.
+    On a code with q^(n-k) <= MEMO_KEYS the key-equation stage of words
+    with few erasures is memoised per code (see the module docstring):
+    such words with equal syndrome and erasures, decoded by one solver,
+    share one `key_state`.
     """
 
     DECODERS = ("euclid", "pgz")
@@ -99,6 +121,11 @@ class RSCode:
         self._chien_points = [field.pow(self.beta, -i) for i in range(n)]
         self.g = Poly.from_roots(field, self._syndrome_points)
         self._cyclic = CyclicCode(field, n, self.g)
+        # the most erasures a memoised word may have (-1: none is)
+        syndromes, t = field.q ** (n - k), -1
+        while t < n - k and syndromes * comb(n, t + 1) <= MEMO_KEYS:
+            t += 1
+        self._memo_erasures, self._memo = t, {}
 
     # -- shape ------------------------------------------------------------
 
@@ -174,17 +201,14 @@ class RSCode:
         return self.euclid_decode(word, erasures)
 
     def pgz_decode(self, word, erasures=()) -> DecodeOutcome:
-        return self._decode(word, erasures, solver=self._solve_pgz)
+        return self._decode(word, erasures, "pgz")
 
     def euclid_decode(self, word, erasures=()) -> DecodeOutcome:
-        return self._decode(word, erasures, solver=self._solve_euclid)
+        return self._decode(word, erasures, "euclid")
 
-    def _decode(self, word, erasures, solver) -> DecodeOutcome:
-        f = self.field
+    def _decode(self, word, erasures, solver: str) -> DecodeOutcome:
         w = self._expand_word(received(self, word, erasures))
-        nk = self.n - self.k
-        t = len(w.erasures)
-        if t > nk:
+        if len(w.erasures) > self.n - self.k:
             return DecodeOutcome.failure()
 
         S = self._syndromes_full(w)
@@ -192,18 +216,41 @@ class RSCode:
             # erased symbols zeroed are already consistent: no errors
             return self._emit(w, {}, None)
 
+        if len(w.erasures) > self._memo_erasures:
+            found = self._keyeq(S, w.erasures, solver)
+        else:
+            memo, key = self._memo, (S.coeffs, w.erasures, solver)
+            try:
+                found = memo[key]
+            except KeyError:
+                if len(memo) >= MEMO_CAP:
+                    memo.clear()
+                found = memo[key] = self._keyeq(S, w.erasures, solver)
+        if found is None:
+            return DecodeOutcome.failure()
+        return self._emit(w, *found)
+
+    def _keyeq(self, S: Poly, erasures: frozenset, solver: str):
+        """The syndrome-determined stage: erasure locator, key equation,
+        Chien search, Forney values and the syndrome re-check.  Returns
+        (error values by position, KeyEquationState), or None when the
+        word is uncorrectable."""
+        f = self.field
+        nk = self.n - self.k
+        t = len(erasures)
         sigma2 = Poly.from_roots(
-            f, [self._chien_points[e] for e in sorted(w.erasures)]
+            f, [self._chien_points[e] for e in sorted(erasures)]
         )
         s_hat = sigma2 * S
-        sigma, omega = solver(s_hat, nk, t)
+        solve = self._solve_pgz if solver == "pgz" else self._solve_euclid
+        sigma, omega = solve(s_hat, nk, t)
 
         locator = sigma * sigma2
         # chien search over all positions
         roots = {i: x for i, x in enumerate(self._chien_points)
                  if locator(x) == 0}
         if len(roots) != locator.degree:
-            return DecodeOutcome.failure()
+            return None
 
         # error magnitudes through the derivative of the full locator,
         # which is nonzero at its deg-many distinct roots
@@ -222,10 +269,9 @@ class RSCode:
             lx = log[xj]
             acc = reduce(add, [exp[le + lx * i % order] for le, i in terms], 0)
             if acc != S.coeff(j):
-                return DecodeOutcome.failure()
+                return None
 
-        state = KeyEquationState(S, s_hat, sigma, sigma2, omega)
-        return self._emit(w, values, state)
+        return values, KeyEquationState(S, s_hat, sigma, sigma2, omega)
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field

@@ -267,6 +267,7 @@ ELEMENT_CALLS = {
     "order(x)": lambda f, x: f.order(x),
     "format_element(x)": lambda f, x: f.format_element(x),
     "format_element(x,vector)": lambda f, x: f.format_element(x, "vector"),
+    "coeffs(x)": lambda f, x: f.coeffs(x),
 }
 
 
@@ -277,6 +278,15 @@ def test_out_of_range_element_raises(p, nu, bad, call):
     f = FiniteField(p, nu)
     with pytest.raises(InvalidSymbol):
         call(f, -1 if bad == "-1" else f.q)
+
+
+@pytest.mark.parametrize("p,nu,digits", [
+    (3, 2, [5, 0]), (3, 2, [0, 3]), (3, 2, [-1, 0]), (2, 3, [0, 2, 0]),
+])
+def test_out_of_range_digit_raises(p, nu, digits):
+    # digits outside range(p) are not reduced mod p
+    with pytest.raises(InvalidSymbol):
+        FiniteField(p, nu).element(digits)
 
 
 # -- conjugacy and minimal polynomials ----------------------------------------

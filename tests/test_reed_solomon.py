@@ -14,6 +14,7 @@ from blockfec import (
     RSCode,
     euclid_key_equation,
     ml_decode,
+    reed_solomon,
 )
 from blockfec.errors import InvalidParams, InvalidSymbol
 
@@ -714,3 +715,51 @@ def test_decode_corpus_digest(name, solver):
     # stopping at Sugiyama's bound, gives the same outcomes
     rs = CORPUS_CODES[name]()
     assert corpus_digest(rs, solver, 500, seed=6) == CORPUS_DIGESTS[name]
+
+
+# -- the key-equation memo of small codes -------------------------------------------
+
+@pytest.mark.parametrize("solver", RSCode.DECODERS)
+@pytest.mark.parametrize("name", CORPUS_CODES)
+def test_decode_corpus_digest_twice_with_one_code(name, solver):
+    # the second pass is all memo hits on the words with few keys: every
+    # word of the GF(5) code and of the GF(8) [7,5] code, and the
+    # erasure-free words of the GF(7) code and of the GF(8) [7,3] code
+    rs = CORPUS_CODES[name]()
+    for _ in range(2):
+        assert corpus_digest(rs, solver, 500, seed=6) == CORPUS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n,k,m0,shorten_by", [(7, 3, 1, 0), (7, 5, 0, 2)])
+def test_memo_cleared_when_full_keeps_outcomes(gf8, monkeypatch, n, k, m0, shorten_by):
+    monkeypatch.setattr(reed_solomon, "MEMO_CAP", 4)
+    rs = RSCode(gf8, n, k, m0=m0, shorten_by=shorten_by)
+    for word, erasures in corpus_words(rs, 200, seed=9):
+        for solver in RSCode.DECODERS:
+            fresh = RSCode(gf8, n, k, m0=m0, shorten_by=shorten_by)
+            want = getattr(fresh, f"{solver}_decode")(word, erasures)
+            assert getattr(rs, f"{solver}_decode")(word, erasures) == want
+
+
+def test_memo_shares_key_state_on_small_codes_only(gf8):
+    small = RSCode(gf8, 7, 5)
+    word = list(small.encode((1, 2, 3, 4, 5)))
+    word[2] ^= 6
+    a, b = small.decode(word), small.decode(word)
+    assert a.corrected and a == b and a.key_state is b.key_state
+    a, b = small.decode(word, [2, 3]), small.decode(word, [2, 3])
+    assert a.corrected and a == b and a.key_state is b.key_state
+    assert a.key_state.sigma2.degree == 2
+
+    # 8^4 syndromes times 7 single erasures are too many keys for RS(7,3)
+    rs73 = RSCode(gf8, 7, 3)
+    word = list(rs73.encode((1, 2, 3)))
+    word[2] ^= 6
+    a, b = rs73.decode(word, [4]), rs73.decode(word, [4])
+    assert a.corrected and a == b and a.key_state is not b.key_state
+
+    large = RSCode(FiniteField(2, 8), 255, 223)
+    word = list(large.encode(range(223)))
+    word[7] ^= 9
+    a, b = large.decode(word), large.decode(word)
+    assert a.corrected and a == b and a.key_state is not b.key_state
