@@ -15,7 +15,9 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
-from .linear import DecodeOutcome, ReceivedWord, as_received, check_word, received
+from .linear import (
+    NO_ERASURES, DecodeOutcome, ReceivedWord, as_received, check_word, received,
+)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,8 @@ class InterleavedCode:
         outcomes = []
         for j in range(m):
             # erased symbols are zero already: a column is a ReceivedWord
-            erased = frozenset(p // m for p in w.erasures if p % m == j)
+            erased = (frozenset(p // m for p in w.erasures if p % m == j)
+                      or NO_ERASURES)
             out = self.base.decode(ReceivedWord(w.symbols[j::m], erased))
             if not out.corrected:
                 return DecodeOutcome.failure()

@@ -15,7 +15,7 @@ row combinations (`MatrixGF.mul_vec`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import index, xor
@@ -33,6 +33,9 @@ from .errors import (
 MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays
 MAX_ML_CODEWORDS = 1 << 20    # q^k cap for brute-force decoding
 MAX_HAMMING_R = 8             # r cap for Hamming codes: H is r x (2^r - 1)
+
+# the erasures of every erasure-free word, so decode memo keys share one
+NO_ERASURES = frozenset()
 
 
 def hamming_weight(v) -> int:
@@ -55,13 +58,13 @@ class ReceivedWord:
     """
 
     symbols: tuple
-    erasures: frozenset = dc_field(default_factory=frozenset)
+    erasures: frozenset = NO_ERASURES
 
     @classmethod
     def make(cls, symbols, erasures=()) -> "ReceivedWord":
         symbols = list(symbols)
         try:
-            erasures = frozenset(map(index, erasures))
+            erasures = frozenset(map(index, erasures)) or NO_ERASURES
         except TypeError:
             raise LengthMismatch("erasure positions must be integers") from None
         for e in erasures:

@@ -28,12 +28,28 @@ memoises that stage where the keys are few.  Words with t erasures have
 q^(n-k) syndromes times C(n, t) erasure sets as keys; they are memoised
 for every t up to the first whose keys outnumber MEMO_KEYS.  A memoised
 word costs its syndromes and the emitted outcome.
+
+Two stages evaluate a polynomial at many fixed points, O(n(n-k)) each:
+the syndromes (the word at the n - k roots beta^(m0+j)) and the Chien
+search (the locator at the n inverse positions beta^-i).  They have two
+paths, chosen once per code:
+
+- Horner's rule in pure Python (`Poly.__call__`): the oracle, the only
+  path in odd characteristic, and the faster one for the smallest codes;
+- for GF(2^m) codes whose full n(n-k) is at least VECTOR_WORK, one
+  numpy gather (`gather_eval`).  With the exponent matrix
+  E[j][i] = i*log(x_j) mod (q-1), the values at the points x_j are the
+  XOR along each row of exp[E + log c].  A zero coefficient reads the
+  zero tail of the padded exp table through log 0 = 2(q-1), so nothing
+  branches.  numpy is imported there, not at module level, and a
+  code builds its matrices on its first decode or `syndromes` call, so
+  building a code and decoding a small one never touch numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import xor
 
@@ -53,6 +69,11 @@ from .poly import Poly
 # entries
 MEMO_KEYS = 1 << 12
 MEMO_CAP = 1 << 12
+# GF(2^m) codes with full n(n - k) >= VECTOR_WORK take the gathered
+# syndromes and Chien search.  Horner's rule is faster only up to about
+# n(n - k) = 28; the gate is higher, so that codes up to RS(15,9)'s 90
+# decode without numpy
+VECTOR_WORK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +147,10 @@ class RSCode:
         while t < n - k and syndromes * comb(n, t + 1) <= MEMO_KEYS:
             t += 1
         self._memo_erasures, self._memo = t, {}
+        # gathered evaluation: the syndrome and Chien exponent matrices
+        # are built on first use, not here, to keep numpy out of set-up
+        self._gathered = field.p == 2 and n * (n - k) >= VECTOR_WORK
+        self._exponents = None
 
     # -- shape ------------------------------------------------------------
 
@@ -159,7 +184,9 @@ class RSCode:
             return w
         cut = self.k
         symbols = w.symbols[:cut] + (0,) * l + w.symbols[cut:]
-        erasures = frozenset(e if e < cut else e + l for e in w.erasures)
+        # an empty erasure set is kept, so memo keys share it
+        erasures = w.erasures and frozenset(e if e < cut else e + l
+                                             for e in w.erasures)
         return ReceivedWord(symbols, erasures)
 
     def _contract_word(self, symbols):
@@ -189,8 +216,21 @@ class RSCode:
         return self._syndromes_full(self._expand_word(received(self, word)))
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
+        if self._gathered:
+            return Poly(self.field, self._gather(0, w.symbols))
         rpoly = Poly(self.field, w.symbols)
         return Poly(self.field, [rpoly(x) for x in self._syndrome_points])
+
+    def _gather(self, stage: int, coeffs) -> list:
+        """`gather_eval` of `coeffs` at the syndrome points (stage 0) or
+        at the Chien points (stage 1)."""
+        if self._exponents is None:
+            nk = self._full_n - self._full_k
+            self._exponents = (
+                exponent_matrix(self.field, self._syndrome_points, self._full_n),
+                exponent_matrix(self.field, self._chien_points, nk + 1),
+            )
+        return gather_eval(self.field, self._exponents[stage], coeffs)
 
     # -- decoding ---------------------------------------------------------------
 
@@ -247,8 +287,10 @@ class RSCode:
 
         locator = sigma * sigma2
         # chien search over all positions
-        roots = {i: x for i, x in enumerate(self._chien_points)
-                 if locator(x) == 0}
+        points = self._chien_points
+        at = (self._gather(1, locator.coeffs) if self._gathered
+              else [locator(x) for x in points])
+        roots = {i: x for i, (x, v) in enumerate(zip(points, at)) if v == 0}
         if len(roots) != locator.degree:
             return None
 
@@ -340,3 +382,34 @@ def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
         t_prev, t_cur = t_cur, t_prev - q * t_cur
         trace.append((r_cur, q, t_cur))
     return r_cur, t_cur, trace
+
+
+@lru_cache(maxsize=None)
+def _gather_tables(field):
+    """numpy copies of the field's padded exp and log tables."""
+    import numpy as np
+
+    return (np.array(field._exp_pad, dtype=np.min_scalar_type(field.q - 1)),
+            np.array(field._log_pad, dtype=np.intp))
+
+
+def exponent_matrix(field, points, width: int):
+    """E[j][i] = i * log(points[j]) mod (q - 1), for i < width, as a
+    numpy array; the points are nonzero."""
+    import numpy as np
+
+    logs = np.array([field.log(x) for x in points], dtype=np.intp)
+    return np.outer(logs, np.arange(width, dtype=np.intp)) % (field.q - 1)
+
+
+def gather_eval(field, E, coeffs) -> list:
+    """The polynomial with coefficients `coeffs` (low first, at most
+    E.shape[1] of them) over GF(2^m) at every point of the exponent
+    matrix E: the terms c_i x_j^i of all points in one gather from the
+    padded exp table, summed by XOR along each row.  Every index is at
+    most (q - 2) + 2(q - 1), inside the table's 4(q - 1) + 1 entries."""
+    import numpy as np
+
+    exp, log = _gather_tables(field)
+    terms = exp[E[:, :len(coeffs)] + log[list(coeffs)]]
+    return np.bitwise_xor.reduce(terms, axis=1).tolist()

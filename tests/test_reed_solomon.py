@@ -8,6 +8,7 @@ import pytest
 
 from blockfec import (
     FiniteField,
+    InterleavedCode,
     LinearCode,
     Poly,
     ReceivedWord,
@@ -638,7 +639,9 @@ def test_symbols_outside_the_field_are_rejected(gf8, method, word):
 
 # -- regression corpus ----------------------------------------------------------
 
-# Nine codes over six fields, root offsets 0, 1 and 3, one shortened.
+# Eleven codes over eight fields, root offsets 0, 1 and 3, two shortened.
+# The last two have n(n - k) >= VECTOR_WORK, so they take the gathered
+# syndromes and Chien search; their digests were recorded with Horner.
 CORPUS_CODES = {
     "gf5-4-2": lambda: RSCode(FiniteField(5), 4, 2),
     "gf7-6-2-m0": lambda: RSCode(FiniteField(7), 6, 2, m0=0),
@@ -651,6 +654,10 @@ CORPUS_CODES = {
                                    m0=3),
     "gf16-15-11-short5": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)),
                                         15, 11, shorten_by=5),
+    "gf64-63-47-m0": lambda: RSCode(FiniteField(2, 6, (1, 1, 0, 0, 0, 0, 1)),
+                                    63, 47, m0=0),
+    "gf32-31-19-short7": lambda: RSCode(FiniteField(2, 5, (1, 0, 1, 0, 0, 1)),
+                                        31, 19, shorten_by=7),
 }
 
 
@@ -704,6 +711,10 @@ CORPUS_DIGESTS = {
         "28e433d160ebdda6d656048a8c596d1e84ddcce5c0a5b4cd221427cecee7a5f3",
     'gf16-15-11-short5':
         "aa9419a36c3a405b470dee39f795aa48903f419ae975eeb2b2237da3bc0d453c",
+    'gf64-63-47-m0':
+        "272c0652eddc728304f39138ac61fa52de4daad3b9321e6941fb36969c863b1e",
+    'gf32-31-19-short7':
+        "c36dbcd59902690303510c940c60b7fdd7f43d238e4101a7eb6793dc943dc0da",
 }
 
 
@@ -763,3 +774,65 @@ def test_memo_shares_key_state_on_small_codes_only(gf8):
     word[7] ^= 9
     a, b = large.decode(word), large.decode(word)
     assert a.corrected and a == b and a.key_state is not b.key_state
+
+
+def test_erasure_free_words_share_one_empty_erasure_set(gf8):
+    # memo keys hold the erasures of every word they saw; erasure-free
+    # words, shortened ones and interleaved columns included, hold one set
+    empty = ReceivedWord.make((1, 2)).erasures
+    assert ReceivedWord.make((3, 4), []).erasures is empty
+    rs = RSCode(gf8, 7, 5, shorten_by=2)
+    columns = InterleavedCode(RSCode(gf8, 7, 5), 3)
+    rng = random.Random(4)
+    for _ in range(20):
+        word = list(rs.encode([rng.randrange(8) for _ in range(3)]))
+        word[rng.randrange(5)] ^= rng.randrange(1, 8)
+        assert rs.decode(word).corrected
+        word = list(columns.encode([rng.randrange(8) for _ in range(15)]))
+        word[rng.randrange(21)] ^= rng.randrange(1, 8)
+        assert columns.decode(word).corrected
+    for code in (rs, columns.base):
+        assert code._memo and all(e is empty for _, e, _ in code._memo)
+
+
+# -- gathered syndromes and Chien search of large GF(2^m) codes ----------------------
+
+@pytest.mark.parametrize("m", [2, 8, 10])
+def test_gather_eval_matches_horner(m):
+    f = FiniteField(2, m)
+    rng = random.Random(m)
+    points = [f.exp(rng.randrange(f.q - 1)) for _ in range(9)] + [1]
+    E = reed_solomon.exponent_matrix(f, points, 12)
+    for size in [0, 1, 5, 12]:
+        for _ in range(20):
+            # zero coefficients, trailing ones included, read the zero tail
+            coeffs = [rng.choice((0, rng.randrange(f.q))) for _ in range(size)]
+            p = Poly(f, coeffs)
+            assert reed_solomon.gather_eval(f, E, coeffs) == [p(x) for x in points]
+
+
+@pytest.mark.parametrize("solver", RSCode.DECODERS)
+def test_gathered_corpus_matches_horner_digests(monkeypatch, solver):
+    # with the gate at 0 every GF(2^m) corpus code gathers; the digests
+    # were recorded with Horner's rule
+    monkeypatch.setattr(reed_solomon, "VECTOR_WORK", 0)
+    for name, build in CORPUS_CODES.items():
+        rs = build()
+        assert rs._gathered == (rs.field.p == 2)
+        assert corpus_digest(rs, solver, 500, seed=6) == CORPUS_DIGESTS[name]
+
+
+def test_rs255_gathered_decodes_equal_horner(monkeypatch):
+    f = FiniteField(2, 8)
+    gathered = RSCode(f, 255, 223)
+    monkeypatch.setattr(reed_solomon, "VECTOR_WORK", 255 * 32 + 1)
+    horner = RSCode(f, 255, 223)
+    assert gathered._gathered and not horner._gathered
+    # errors, erasures and words beyond the radius, by both solvers
+    verdicts = set()
+    for word, erasures in corpus_words(gathered, 200, seed=11):
+        for solver in RSCode.DECODERS:
+            want = getattr(horner, f"{solver}_decode")(word, erasures)
+            assert getattr(gathered, f"{solver}_decode")(word, erasures) == want
+            verdicts.add((want.verdict, bool(erasures)))
+    assert len(verdicts) == 4
