@@ -250,7 +250,16 @@ def _gauss_jordan(f, rows, ncols):
     their first `ncols` columns; later columns (a right-hand side, an
     identity block) take the same row operations.  Returns (pivot
     columns, d), where d is the product of the pivots signed by the row
-    swaps: the determinant of a full-rank square matrix."""
+    swaps: the determinant of a full-rank square matrix.  Raises
+    InvalidSymbol for an entry outside the field."""
+    for row in rows:
+        if not _in_alphabet(row, f.alphabet):
+            bad = next(x for x in row if not _in_alphabet((x,), f.alphabet))
+            raise InvalidSymbol(f"{bad!r} is not an element of {f}")
+    # rows are updated on the padded log/exp tables, as in Poly.__divmod__:
+    # log 0 = 2(q-1) reads the zero tail, and log(-a) = log(a) + h mod q - 1
+    exp, log, order, h = f._exp_pad, f._log_pad, f.q - 1, f._log_minus_one
+    add = xor if f.p == 2 else f.add
     nrows = len(rows)
     pivots = []
     d = 1
@@ -265,14 +274,13 @@ def _gauss_jordan(f, rows, ncols):
             rows[r], rows[pivot] = rows[pivot], rows[r]
             d = f.neg(d)
         d = f.mul(d, rows[r][c])
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(x, inv) for x in rows[r]]
+        shift = order - log[rows[r][c]]
+        rows[r] = [exp[log[x] + shift] for x in rows[r]]
+        lys = [log[y] for y in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [
-                    f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
+                lf = (log[rows[i][c]] + h) % order
+                rows[i] = [add(x, exp[lf + ly]) for x, ly in zip(rows[i], lys)]
         pivots.append(c)
     return pivots, d
 

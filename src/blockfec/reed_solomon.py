@@ -29,27 +29,35 @@ q^(n-k) syndromes times C(n, t) erasure sets as keys; they are memoised
 for every t up to the first whose keys outnumber MEMO_KEYS.  A memoised
 word costs its syndromes and the emitted outcome.
 
-Two stages evaluate a polynomial at many fixed points, O(n(n-k)) each:
-the syndromes (the word at the n - k roots beta^(m0+j)) and the Chien
-search (the locator at the n inverse positions beta^-i).  They have two
-paths, chosen once per code:
+Five fixed linear maps, one kernel.  Each stage below maps a vector
+to the values of fixed field-element combinations of it, O(n(n-k))
+work each: the syndromes (the word at the n - k roots beta^(m0+j)),
+the Chien search (the locator at the n inverse positions beta^-i), the
+systematic parity (the message times P, whose row i is
+x^(n-k+i) mod g), the Forney values (omega and sigma' at the roots the
+search found) and the re-check (the syndromes of the error vector).
+They have two paths, chosen once per code:
 
-- Horner's rule in pure Python (`Poly.__call__`): the oracle, the only
-  path in odd characteristic, and the faster one for the smallest codes;
+- Horner's rule and the long division of `Poly` in pure Python: the
+  oracle, the only path in odd characteristic, and the faster one for
+  the smallest codes;
 - for GF(2^m) codes whose full n(n-k) is at least VECTOR_WORK, one
-  numpy gather (`gather_eval`).  With the exponent matrix
-  E[j][i] = i*log(x_j) mod (q-1), the values at the points x_j are the
-  XOR along each row of exp[E + log c].  A zero coefficient reads the
-  zero tail of the padded exp table through log 0 = 2(q-1), so nothing
-  branches.  numpy is imported there, not at module level, and a
-  code builds its matrices on its first decode or `syndromes` call, so
-  building a code and decoding a small one never touch numpy.
+  numpy gather (`gather_eval`) over a log matrix: L[j][i] is the log
+  of the matrix entry M[j][i], with log 0 = 2(q-1), and output j is
+  the XOR along row j of exp[L + log c].  A zero entry or coefficient
+  reads the zero tail of the padded exp table, so nothing branches.
+  The syndrome and Chien matrices are the powers x_j^i of their points
+  (`power_log_matrix`); Forney takes the Chien rows of the roots and
+  the re-check the syndrome columns of the error positions; parity
+  reads log P^T.  numpy is imported there, not at module level, and a
+  code builds each matrix on its first use, so building a code and
+  coding with a small one never touch numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb
 from operator import xor
 
@@ -60,6 +68,7 @@ from .linear import (
     MatrixGF,
     ReceivedWord,
     _solve_square,
+    check_word,
     received,
 )
 from .poly import Poly
@@ -70,7 +79,7 @@ from .poly import Poly
 MEMO_KEYS = 1 << 12
 MEMO_CAP = 1 << 12
 # GF(2^m) codes with full n(n - k) >= VECTOR_WORK take the gathered
-# syndromes and Chien search.  Horner's rule is faster only up to about
+# linear maps.  Horner's rule is faster only up to about
 # n(n - k) = 28; the gate is higher, so that codes up to RS(15,9)'s 90
 # decode without numpy
 VECTOR_WORK = 256
@@ -147,10 +156,9 @@ class RSCode:
         while t < n - k and syndromes * comb(n, t + 1) <= MEMO_KEYS:
             t += 1
         self._memo_erasures, self._memo = t, {}
-        # gathered evaluation: the syndrome and Chien exponent matrices
-        # are built on first use, not here, to keep numpy out of set-up
+        # gathered linear maps; their log matrices are built on first
+        # use, not here, to keep numpy and their cost out of set-up
         self._gathered = field.p == 2 and n * (n - k) >= VECTOR_WORK
-        self._exponents = None
 
     # -- shape ------------------------------------------------------------
 
@@ -203,9 +211,14 @@ class RSCode:
             raise InvalidParams(
                 "shortened codes only support systematic encoding"
             )
-        # short messages and the suppressed block are zero-padded; the
-        # cyclic encoder checks the padded message
+        # short messages and the suppressed block are zero-padded
         full = u + (0,) * (self._full_k - len(u))
+        if systematic and self._gathered:
+            # the gather reads the tables unchecked (log[-1] would wrap),
+            # so the message is checked here, as the cyclic encoder does
+            check_word(full, self._full_k, self.subfield)
+            return full[: self.k] + tuple(
+                gather_eval(self.field, self._parity_logs, u))
         c = self._cyclic.encode(full, systematic=systematic)
         return self._contract_word(c) if systematic else c
 
@@ -217,20 +230,37 @@ class RSCode:
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
         if self._gathered:
-            return Poly(self.field, self._gather(0, w.symbols))
+            return Poly(self.field,
+                        gather_eval(self.field, self._syndrome_logs, w.symbols))
         rpoly = Poly(self.field, w.symbols)
         return Poly(self.field, [rpoly(x) for x in self._syndrome_points])
 
-    def _gather(self, stage: int, coeffs) -> list:
-        """`gather_eval` of `coeffs` at the syndrome points (stage 0) or
-        at the Chien points (stage 1)."""
-        if self._exponents is None:
-            nk = self._full_n - self._full_k
-            self._exponents = (
-                exponent_matrix(self.field, self._syndrome_points, self._full_n),
-                exponent_matrix(self.field, self._chien_points, nk + 1),
-            )
-        return gather_eval(self.field, self._exponents[stage], coeffs)
+    # -- log matrices of the gathered linear maps, built on first use -----
+
+    @cached_property
+    def _syndrome_logs(self):
+        """log x_j^i: row j evaluates a full-length word at the root
+        beta^(m0+j)."""
+        return power_log_matrix(self.field, self._syndrome_points, self._full_n)
+
+    @cached_property
+    def _chien_logs(self):
+        """log (beta^-i)^l: row i evaluates a locator, or any polynomial
+        of degree at most n - k, at position i."""
+        nk = self._full_n - self._full_k
+        return power_log_matrix(self.field, self._chien_points, nk + 1)
+
+    @cached_property
+    def _parity_logs(self):
+        """log P^T, with row i of P = x^(n-k+i) mod g for the k
+        transmitted information positions, so the parity of u is u P
+        (negation is the identity in characteristic 2)."""
+        nk = self._full_n - self._full_k
+        r, rows = Poly.monomial(self.field, nk) % self.g, []
+        for _ in range(self.k):
+            rows.append(r.to_vector(nk))
+            r = r.shift(1) % self.g
+        return log_matrix(self.field, list(zip(*rows)))
 
     # -- decoding ---------------------------------------------------------------
 
@@ -287,33 +317,51 @@ class RSCode:
 
         locator = sigma * sigma2
         # chien search over all positions
-        points = self._chien_points
-        at = (self._gather(1, locator.coeffs) if self._gathered
-              else [locator(x) for x in points])
-        roots = {i: x for i, (x, v) in enumerate(zip(points, at)) if v == 0}
+        at = self._chien_eval(locator)
+        roots = [i for i, v in enumerate(at) if v == 0]
         if len(roots) != locator.degree:
             return None
 
         # error magnitudes through the derivative of the full locator,
         # which is nonzero at its deg-many distinct roots
-        deriv = locator.derivative()
+        num = self._chien_eval(omega, roots)
+        den = self._chien_eval(locator.derivative(), roots)
+        points = self._chien_points
         values = {
-            i: f.div(f.mul(omega(x), f.pow(x, self.m0 - 1)), deriv(x))
-            for i, x in roots.items()
+            i: f.div(f.mul(o, f.pow(points[i], self.m0 - 1)), d)
+            for i, o, d in zip(roots, num, den)
         }
 
         # re-verify every syndrome before emitting: S_j is the sum of
         # e_i * xj^i, read off the field's padded log/exp tables
-        exp, log, order = f._exp_pad, f._log_pad, f.q - 1
-        add = xor if f.p == 2 else f.add
-        terms = [(log[e], i) for i, e in values.items()]
-        for j, xj in enumerate(self._syndrome_points):
-            lx = log[xj]
-            acc = reduce(add, [exp[le + lx * i % order] for le, i in terms], 0)
-            if acc != S.coeff(j):
+        if self._gathered:
+            cols = self._syndrome_logs[:, roots]
+            if Poly(f, gather_eval(f, cols, list(values.values()))) != S:
                 return None
+        else:
+            exp, log, order = f._exp_pad, f._log_pad, f.q - 1
+            add = xor if f.p == 2 else f.add
+            terms = [(log[e], i) for i, e in values.items()]
+            for j, xj in enumerate(self._syndrome_points):
+                lx = log[xj]
+                acc = reduce(add, [exp[le + lx * i % order] for le, i in terms], 0)
+                if acc != S.coeff(j):
+                    return None
 
         return values, KeyEquationState(S, s_hat, sigma, sigma2, omega)
+
+    def _chien_eval(self, p: Poly, positions=None) -> list:
+        """p at the Chien points beta^-i of `positions` (every position
+        when None); p has degree at most n - k."""
+        if self._gathered:
+            logs = self._chien_logs
+            if positions is not None:
+                logs = logs[positions]
+            return gather_eval(self.field, logs, p.coeffs)
+        points = self._chien_points
+        if positions is not None:
+            points = [points[i] for i in positions]
+        return [p(x) for x in points]
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
@@ -393,23 +441,35 @@ def _gather_tables(field):
             np.array(field._log_pad, dtype=np.intp))
 
 
-def exponent_matrix(field, points, width: int):
-    """E[j][i] = i * log(points[j]) mod (q - 1), for i < width, as a
-    numpy array; the points are nonzero."""
+def log_matrix(field, rows):
+    """The logs of the entries of a matrix over GF(2^m), given as rows,
+    as a numpy array, with log 0 stored as 2(q - 1): the operand of
+    `gather_eval`."""
+    import numpy as np
+
+    return _gather_tables(field)[1][np.array(rows, dtype=np.intp)]
+
+
+def power_log_matrix(field, points, width: int):
+    """`log_matrix` of the powers x_j^i (i < width) of nonzero points,
+    read as i * log(x_j) mod (q - 1) without forming the powers."""
     import numpy as np
 
     logs = np.array([field.log(x) for x in points], dtype=np.intp)
     return np.outer(logs, np.arange(width, dtype=np.intp)) % (field.q - 1)
 
 
-def gather_eval(field, E, coeffs) -> list:
-    """The polynomial with coefficients `coeffs` (low first, at most
-    E.shape[1] of them) over GF(2^m) at every point of the exponent
-    matrix E: the terms c_i x_j^i of all points in one gather from the
-    padded exp table, summed by XOR along each row.  Every index is at
-    most (q - 2) + 2(q - 1), inside the table's 4(q - 1) + 1 entries."""
+def gather_eval(field, L, coeffs) -> list:
+    """The matrix with log matrix L over GF(2^m) times the column of
+    `coeffs` (at most L.shape[1] of them; missing ones are zero): the
+    products M[j][i] c_i of every row in one gather from the padded exp
+    table, summed by XOR along each row.  With L a `power_log_matrix`
+    this evaluates the polynomial with coefficients `coeffs` (low first)
+    at every point.  Every index is at most 2(q - 1) + 2(q - 1), inside
+    the table's 4(q - 1) + 1 entries.  The coefficients must lie in
+    range(q), unchecked: a negative one would wrap."""
     import numpy as np
 
     exp, log = _gather_tables(field)
-    terms = exp[E[:, :len(coeffs)] + log[list(coeffs)]]
+    terms = exp[L[:, :len(coeffs)] + log[np.array(coeffs, dtype=np.intp)]]
     return np.bitwise_xor.reduce(terms, axis=1).tolist()

@@ -588,6 +588,26 @@ def test_solve_square_solves_iff_nonsingular(p, nu):
             assert A.transpose().mul_vec(x) == tuple(b)
 
 
+@pytest.mark.parametrize("p,nu", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 0), (1, 1), (0, 1)])
+@pytest.mark.parametrize("bad", ["neg", "q", "float", "str"])
+def test_matrix_entries_outside_the_field_are_rejected(p, nu, where, bad):
+    # the elimination reads the log/exp tables unchecked, so it checks
+    # every entry on entry, wherever it sits: -1 and q raised
+    # InvalidSymbol from the field methods before, non-ints TypeError
+    f = FiniteField(p, nu)
+    rows = [[1, 1], [0, 1]] if where == (0, 1) else [[1, 0], [0, 1]]
+    rows[where[0]][where[1]] = {"neg": -1, "q": f.q, "float": 1.5, "str": "1"}[bad]
+    with pytest.raises(InvalidSymbol, match="is not an element of"):
+        MatrixGF(f, rows).rref()
+    with pytest.raises(InvalidSymbol):
+        MatrixGF(f, rows).det()
+    with pytest.raises(InvalidSymbol):
+        _solve_square(f, rows, [1, 0])
+    with pytest.raises(InvalidSymbol):
+        _solve_square(f, [[1, 0], [0, 1]], [1, rows[where[0]][where[1]]])
+
+
 def test_message_of_inverts_nonsystematic_generators_over_gf3():
     f = FiniteField(3)
     rng = random.Random(7)

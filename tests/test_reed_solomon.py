@@ -2,7 +2,10 @@
 
 import hashlib
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,7 @@ from blockfec import (
     ml_decode,
     reed_solomon,
 )
-from blockfec.errors import InvalidParams, InvalidSymbol
+from blockfec.errors import DegreeTooHigh, FecError, InvalidParams, InvalidSymbol
 
 
 def logs(field, word):
@@ -802,7 +805,9 @@ def test_gather_eval_matches_horner(m):
     f = FiniteField(2, m)
     rng = random.Random(m)
     points = [f.exp(rng.randrange(f.q - 1)) for _ in range(9)] + [1]
-    E = reed_solomon.exponent_matrix(f, points, 12)
+    E = reed_solomon.power_log_matrix(f, points, 12)
+    powers = [[f.pow(x, i) for i in range(12)] for x in points]
+    assert (E == reed_solomon.log_matrix(f, powers)).all()
     for size in [0, 1, 5, 12]:
         for _ in range(20):
             # zero coefficients, trailing ones included, read the zero tail
@@ -836,3 +841,88 @@ def test_rs255_gathered_decodes_equal_horner(monkeypatch):
             assert getattr(gathered, f"{solver}_decode")(word, erasures) == want
             verdicts.add((want.verdict, bool(erasures)))
     assert len(verdicts) == 4
+
+    # Forney's values on erasures alone, and words whose locator passes
+    # the Chien count and whose re-check then rejects them: with n - k - 1
+    # erasures PGZ solves for no error locator, so the locator is the
+    # erasure locator, and two errors outside the erasures fail the re-check
+    rng = random.Random(12)
+    seen = set()
+    for i in range(60):
+        word = list(horner.encode([rng.randrange(256) for _ in range(223)]))
+        s, e = (rng.randint(1, 32), 0) if i % 2 else (31, 2)
+        where = rng.sample(range(255), s + e)
+        for p in where[:s]:
+            word[p] = rng.randrange(256)
+        for p in where[s:]:
+            word[p] ^= rng.randrange(1, 256)
+        for solver in RSCode.DECODERS:
+            want = getattr(horner, f"{solver}_decode")(word, where[:s])
+            assert getattr(gathered, f"{solver}_decode")(word, where[:s]) == want
+            seen.add((want.verdict, e, solver))
+    assert {("corrected", 0, "euclid"), ("corrected", 0, "pgz"),
+            ("uncorrectable", 2, "pgz")} <= seen
+
+
+LARGE_CODES = {
+    "rs255": lambda: RSCode(FiniteField(2, 8), 255, 223),
+    "gf64-63-47-short10": lambda: RSCode(FiniteField(2, 6, (1, 1, 0, 0, 0, 0, 1)),
+                                         63, 47, shorten_by=10),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CODES)
+def test_gathered_encode_equals_horner(monkeypatch, name):
+    gathered = LARGE_CODES[name]()
+    monkeypatch.setattr(reed_solomon, "VECTOR_WORK", 1 << 30)
+    horner = LARGE_CODES[name]()
+    assert gathered._gathered and not horner._gathered
+    q, k, rng = gathered.field.q, gathered.k, random.Random(16)
+    for i in range(300):
+        # full and short messages, zero symbols included
+        size = k if i % 3 else rng.randint(0, k)
+        msg = [rng.choice((0, rng.randrange(q))) for _ in range(size)]
+        assert gathered.encode(msg) == horner.encode(msg)
+    # non-systematic encodes stay on the cyclic encoder
+    if not gathered.shorten_by:
+        assert gathered.encode(msg, systematic=False) == horner.encode(msg, systematic=False)
+    for bad, error in [([256] + [0] * (k - 1), InvalidSymbol),
+                       ([q - 1, -1], InvalidSymbol),
+                       ([1] * (k + 1), DegreeTooHigh)]:
+        for rs in (gathered, horner):
+            with pytest.raises(FecError) as raised:
+                rs.encode(bad)
+            assert type(raised.value) is error
+
+
+def test_gathered_code_takes_words_of_bools():
+    # bools are ints to the word check, and to the gather they must stay
+    # indices, never a mask
+    rs = LARGE_CODES["rs255"]()
+    word = rs.encode([True] * 223)
+    assert word == rs.encode([1] * 223)
+    assert rs.decode([bool(x) for x in word]).verdict == rs.decode(word).verdict
+
+
+def test_small_codes_code_without_numpy():
+    # the package __init__ imports numpy through `channel`, so the probe
+    # loads the modules it needs without it
+    probe = """if True:
+        import sys, types
+        package = types.ModuleType("blockfec")
+        package.__path__ = [sys.argv[1]]
+        sys.modules["blockfec"] = package
+        from blockfec.galois import GF
+        from blockfec.reed_solomon import RSCode
+        rs = RSCode(GF(2, 4), 15, 9)
+        word = list(rs.encode(range(9)))
+        word[3] ^= 5
+        assert rs.decode(word).corrected
+        print("numpy" in sys.modules)
+        RSCode(GF(2, 8), 255, 223).encode([1])
+        print("numpy" in sys.modules)
+    """
+    where = str(Path(reed_solomon.__file__).parent)
+    done = subprocess.run([sys.executable, "-c", probe, where], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["False", "True"]
