@@ -24,6 +24,7 @@ class CyclicCode:
 
     def __init__(self, field, n: int, g):
         g = g if isinstance(g, Poly) else Poly(field, g)
+        check_word(g.coeffs, len(g.coeffs), field.alphabet)
         if g.is_zero or g.lc != 1:
             raise NotADivisor("generator must be monic")
         if g.degree >= n:
@@ -77,6 +78,7 @@ class CyclicCode:
         return replace(out, info=out.codeword[: self.k])
 
     def contains(self, word) -> bool:
+        word = check_word(tuple(word), self.n, self.subfield)
         return (Poly(self.field, word) % self.g).is_zero
 
     def __repr__(self):

@@ -162,7 +162,11 @@ class FiniteField:
         else:
             if modulus is None:
                 modulus = default_modulus(p, nu)
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            bad = [c for c in modulus if c not in range(p)]
+            if bad:
+                raise InvalidSymbol(f"{bad[0]!r} is not a digit of GF({p})")
+            modulus = tuple(map(int, modulus))
             if len(modulus) != nu + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {nu}")
             if not is_irreducible(list(modulus), p):

@@ -33,25 +33,24 @@ Five fixed linear maps, one kernel.  Each stage below maps a vector
 to the values of fixed field-element combinations of it, O(n(n-k))
 work each: the syndromes (the word at the n - k roots beta^(m0+j)),
 the Chien search (the locator at the n inverse positions beta^-i), the
-systematic parity (the message times P, whose row i is
+systematic parity (the message times -P, whose row i is
 x^(n-k+i) mod g), the Forney values (omega and sigma' at the roots the
 search found) and the re-check (the syndromes of the error vector).
-They have two paths, chosen once per code:
+Each is one `gather_eval` over a log matrix: L[j][i] is the log of the
+matrix entry M[j][i], with log 0 = 2(q-1), and output j sums
+exp[L[j][i] + log c_i] over i.  A zero entry reads the zero tail of the
+padded exp table, so nothing branches.  The syndrome and Chien matrices
+are the powers x_j^i of their points (`power_log_rows`); Forney takes
+the Chien rows of the roots and the re-check the syndrome columns of
+the error positions.  A code builds each matrix on its first use.
 
-- Horner's rule and the long division of `Poly` in pure Python: the
-  oracle, the only path in odd characteristic, and the faster one for
-  the smallest codes;
-- for GF(2^m) codes whose full n(n-k) is at least VECTOR_WORK, one
-  numpy gather (`gather_eval`) over a log matrix: L[j][i] is the log
-  of the matrix entry M[j][i], with log 0 = 2(q-1), and output j is
-  the XOR along row j of exp[L + log c].  A zero entry or coefficient
-  reads the zero tail of the padded exp table, so nothing branches.
-  The syndrome and Chien matrices are the powers x_j^i of their points
-  (`power_log_matrix`); Forney takes the Chien rows of the roots and
-  the re-check the syndrome columns of the error positions; parity
-  reads log P^T.  numpy is imported there, not at module level, and a
-  code builds each matrix on its first use, so building a code and
-  coding with a small one never touch numpy.
+The kernel has two backends, chosen once per code by the form of its
+matrices.  A GF(2^m) code whose full n(n-k) is at least VECTOR_WORK
+holds them as numpy arrays and gathers every product at once, summed
+by XOR.  Every other code holds rows of ints and walks them in pure
+Python, over the nonzero coefficients only.  numpy is imported by the
+first backend alone, so building a code and coding with a small one
+never touch numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
-from operator import xor
 
 from .cyclic import CyclicCode
 from .errors import DegreeTooHigh, InvalidParams
@@ -78,10 +76,10 @@ from .poly import Poly
 # entries
 MEMO_KEYS = 1 << 12
 MEMO_CAP = 1 << 12
-# GF(2^m) codes with full n(n - k) >= VECTOR_WORK take the gathered
-# linear maps.  Horner's rule is faster only up to about
-# n(n - k) = 28; the gate is higher, so that codes up to RS(15,9)'s 90
-# decode without numpy
+# GF(2^m) codes with full n(n - k) >= VECTOR_WORK take the numpy
+# backend of the linear maps.  On a dense word the pure-Python one is
+# twice as fast at n(n - k) = 28 and ties at RS(15,9)'s 90; the gate is
+# higher, so that codes up to RS(15,9) decode without numpy
 VECTOR_WORK = 256
 
 
@@ -156,8 +154,8 @@ class RSCode:
         while t < n - k and syndromes * comb(n, t + 1) <= MEMO_KEYS:
             t += 1
         self._memo_erasures, self._memo = t, {}
-        # gathered linear maps; their log matrices are built on first
-        # use, not here, to keep numpy and their cost out of set-up
+        # the backend of the linear maps; their log matrices are built on
+        # first use, not here, to keep numpy and their cost out of set-up
         self._gathered = field.p == 2 and n * (n - k) >= VECTOR_WORK
 
     # -- shape ------------------------------------------------------------
@@ -197,10 +195,6 @@ class RSCode:
                                              for e in w.erasures)
         return ReceivedWord(symbols, erasures)
 
-    def _contract_word(self, symbols):
-        """Drop the suppressed zero symbols of a shortened code."""
-        return tuple(symbols[: self.k]) + tuple(symbols[self._full_k:])
-
     # -- encoding -----------------------------------------------------------
 
     def encode(self, u, systematic: bool = True):
@@ -213,14 +207,12 @@ class RSCode:
             )
         # short messages and the suppressed block are zero-padded
         full = u + (0,) * (self._full_k - len(u))
-        if systematic and self._gathered:
-            # the gather reads the tables unchecked (log[-1] would wrap),
-            # so the message is checked here, as the cyclic encoder does
-            check_word(full, self._full_k, self.subfield)
-            return full[: self.k] + tuple(
-                gather_eval(self.field, self._parity_logs, u))
-        c = self._cyclic.encode(full, systematic=systematic)
-        return self._contract_word(c) if systematic else c
+        if not systematic:
+            return self._cyclic.encode(full, systematic=False)
+        # the kernel reads the tables unchecked (log[-1] would wrap), so
+        # the message is checked here, as the cyclic encoder does
+        check_word(full, self._full_k, self.subfield)
+        return full[: self.k] + tuple(gather_eval(self.field, self._parity_logs, u))
 
     # -- syndromes ------------------------------------------------------------
 
@@ -229,38 +221,44 @@ class RSCode:
         return self._syndromes_full(self._expand_word(received(self, word)))
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
-        if self._gathered:
-            return Poly(self.field,
-                        gather_eval(self.field, self._syndrome_logs, w.symbols))
-        rpoly = Poly(self.field, w.symbols)
-        return Poly(self.field, [rpoly(x) for x in self._syndrome_points])
+        return Poly(self.field, gather_eval(self.field, self._syndrome_logs, w.symbols))
 
-    # -- log matrices of the gathered linear maps, built on first use -----
+    # -- log matrices of the linear maps, built on first use ----------------
+
+    def _backend(self, rows):
+        """The one choice of `gather_eval`'s backend: a gathered code
+        holds its log matrices as numpy arrays, any other as rows."""
+        if self._gathered:
+            import numpy as np
+
+            return np.array(rows, dtype=np.intp)
+        return rows
 
     @cached_property
     def _syndrome_logs(self):
         """log x_j^i: row j evaluates a full-length word at the root
         beta^(m0+j)."""
-        return power_log_matrix(self.field, self._syndrome_points, self._full_n)
+        return self._backend(
+            power_log_rows(self.field, self._syndrome_points, self._full_n))
 
     @cached_property
     def _chien_logs(self):
         """log (beta^-i)^l: row i evaluates a locator, or any polynomial
         of degree at most n - k, at position i."""
         nk = self._full_n - self._full_k
-        return power_log_matrix(self.field, self._chien_points, nk + 1)
+        return self._backend(power_log_rows(self.field, self._chien_points, nk + 1))
 
     @cached_property
     def _parity_logs(self):
-        """log P^T, with row i of P = x^(n-k+i) mod g for the k
-        transmitted information positions, so the parity of u is u P
-        (negation is the identity in characteristic 2)."""
+        """log (-P^T), with row i of P = x^(n-k+i) mod g for the k
+        transmitted information positions, so the parity of u is -u P."""
         nk = self._full_n - self._full_k
-        r, rows = Poly.monomial(self.field, nk) % self.g, []
+        # x^(n-k) mod g, then x r mod g = x r - r_(n-k-1) g for monic g
+        r, rows = Poly.monomial(self.field, nk) - self.g, []
         for _ in range(self.k):
-            rows.append(r.to_vector(nk))
-            r = r.shift(1) % self.g
-        return log_matrix(self.field, list(zip(*rows)))
+            rows.append((-r).to_vector(nk))
+            r = r.shift(1) - self.g.scale(r.coeff(nk - 1))
+        return self._backend(log_rows(self.field, zip(*rows)))
 
     # -- decoding ---------------------------------------------------------------
 
@@ -317,15 +315,16 @@ class RSCode:
 
         locator = sigma * sigma2
         # chien search over all positions
-        at = self._chien_eval(locator)
+        chien = self._chien_logs
+        at = gather_eval(f, chien, locator.coeffs)
         roots = [i for i, v in enumerate(at) if v == 0]
         if len(roots) != locator.degree:
             return None
 
         # error magnitudes through the derivative of the full locator,
         # which is nonzero at its deg-many distinct roots
-        num = self._chien_eval(omega, roots)
-        den = self._chien_eval(locator.derivative(), roots)
+        num = gather_eval(f, chien, omega.coeffs, rows=roots)
+        den = gather_eval(f, chien, locator.derivative().coeffs, rows=roots)
         points = self._chien_points
         values = {
             i: f.div(f.mul(o, f.pow(points[i], self.m0 - 1)), d)
@@ -333,35 +332,11 @@ class RSCode:
         }
 
         # re-verify every syndrome before emitting: S_j is the sum of
-        # e_i * xj^i, read off the field's padded log/exp tables
-        if self._gathered:
-            cols = self._syndrome_logs[:, roots]
-            if Poly(f, gather_eval(f, cols, list(values.values()))) != S:
-                return None
-        else:
-            exp, log, order = f._exp_pad, f._log_pad, f.q - 1
-            add = xor if f.p == 2 else f.add
-            terms = [(log[e], i) for i, e in values.items()]
-            for j, xj in enumerate(self._syndrome_points):
-                lx = log[xj]
-                acc = reduce(add, [exp[le + lx * i % order] for le, i in terms], 0)
-                if acc != S.coeff(j):
-                    return None
-
+        # e_i * x_j^i over the error positions i
+        check = gather_eval(f, self._syndrome_logs, list(values.values()), cols=roots)
+        if Poly(f, check) != S:
+            return None
         return values, KeyEquationState(S, s_hat, sigma, sigma2, omega)
-
-    def _chien_eval(self, p: Poly, positions=None) -> list:
-        """p at the Chien points beta^-i of `positions` (every position
-        when None); p has degree at most n - k."""
-        if self._gathered:
-            logs = self._chien_logs
-            if positions is not None:
-                logs = logs[positions]
-            return gather_eval(self.field, logs, p.coeffs)
-        points = self._chien_points
-        if positions is not None:
-            points = [points[i] for i in positions]
-        return [p(x) for x in points]
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
@@ -373,7 +348,7 @@ class RSCode:
         # a shortened code cannot have symbols in the suppressed block
         if any(fixed[self.k:self._full_k]):
             return DecodeOutcome.failure()
-        codeword = self._contract_word(fixed)
+        codeword = tuple(fixed[: self.k] + fixed[self._full_k:])
         return DecodeOutcome(
             "corrected",
             codeword=codeword,
@@ -441,35 +416,51 @@ def _gather_tables(field):
             np.array(field._log_pad, dtype=np.intp))
 
 
-def log_matrix(field, rows):
-    """The logs of the entries of a matrix over GF(2^m), given as rows,
-    as a numpy array, with log 0 stored as 2(q - 1): the operand of
-    `gather_eval`."""
-    import numpy as np
-
-    return _gather_tables(field)[1][np.array(rows, dtype=np.intp)]
+def log_rows(field, rows):
+    """The logs of the entries of a matrix over the field, given as rows,
+    with log 0 stored as 2(q - 1): the operand of `gather_eval`."""
+    log = field._log_pad
+    return [[log[a] for a in row] for row in rows]
 
 
-def power_log_matrix(field, points, width: int):
-    """`log_matrix` of the powers x_j^i (i < width) of nonzero points,
+def power_log_rows(field, points, width: int):
+    """`log_rows` of the powers x_j^i (i < width) of nonzero points,
     read as i * log(x_j) mod (q - 1) without forming the powers."""
-    import numpy as np
-
-    logs = np.array([field.log(x) for x in points], dtype=np.intp)
-    return np.outer(logs, np.arange(width, dtype=np.intp)) % (field.q - 1)
+    order = field.q - 1
+    return [[lx * i % order for i in range(width)] for lx in map(field.log, points)]
 
 
-def gather_eval(field, L, coeffs) -> list:
-    """The matrix with log matrix L over GF(2^m) times the column of
-    `coeffs` (at most L.shape[1] of them; missing ones are zero): the
-    products M[j][i] c_i of every row in one gather from the padded exp
-    table, summed by XOR along each row.  With L a `power_log_matrix`
-    this evaluates the polynomial with coefficients `coeffs` (low first)
-    at every point.  Every index is at most 2(q - 1) + 2(q - 1), inside
-    the table's 4(q - 1) + 1 entries.  The coefficients must lie in
-    range(q), unchecked: a negative one would wrap."""
-    import numpy as np
+def gather_eval(field, L, coeffs, rows=None, cols=None) -> list:
+    """M c, where L is the log matrix of M, over the rows of M listed in
+    `rows` and the columns in `cols` (when None: every row, and the
+    first len(coeffs) columns): output j sums M[rows[j]][cols[i]] c_i
+    over i.  Every exp index is at most 4(q - 1), inside the padded
+    table.  The coefficients must lie in range(q), unchecked: a negative
+    one would wrap.  L picks the backend: a numpy array (GF(2^m) only)
+    gathers every product at once and XORs along each row; rows of ints
+    are walked in pure Python over the nonzero coefficients alone."""
+    if not isinstance(L, list):
+        import numpy as np
 
-    exp, log = _gather_tables(field)
-    terms = exp[L[:, :len(coeffs)] + log[np.array(coeffs, dtype=np.intp)]]
-    return np.bitwise_xor.reduce(terms, axis=1).tolist()
+        exp, log = _gather_tables(field)
+        if rows is not None:
+            L = L[rows]
+        L = L[:, :len(coeffs)] if cols is None else L[:, cols]
+        terms = exp[L + log[np.array(coeffs, dtype=np.intp)]]
+        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+    exp, log = field._exp_pad, field._log_pad
+    terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
+    if cols is not None:
+        terms = [(cols[i], lc) for i, lc in terms]
+    if rows is not None:
+        L = [L[j] for j in rows]
+    if field.p != 2:
+        add = field.add
+        return [reduce(add, [exp[row[i] + lc] for i, lc in terms], 0) for row in L]
+    out = []
+    for row in L:
+        acc = 0
+        for i, lc in terms:
+            acc ^= exp[row[i] + lc]
+        out.append(acc)
+    return out

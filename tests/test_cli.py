@@ -101,6 +101,13 @@ def test_field_table_gf9(capsys):
     assert vectors == ["00", "10", "01", "12", "22", "20", "02", "21", "11"]
 
 
+@pytest.mark.parametrize("spec", ["GF(2^3)[3,1,0,1]", "GF(3^2)[5,4,1]"])
+def test_field_table_rejects_modulus_digits_outside_the_prime_field(capsys, spec):
+    status, out, err = run(capsys, "field", spec)
+    assert (status, out) == (1, "")
+    assert "is not a digit of" in err
+
+
 def test_field_table_trivial(capsys):
     status, out, _ = run(capsys, "field", "GF(2)")
     assert status == 0

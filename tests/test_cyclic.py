@@ -6,7 +6,13 @@ import pytest
 
 from blockfec import CyclicCode, LinearCode, Poly, enumerate_cyclic_codes
 from blockfec.cyclic import x_n_minus_1
-from blockfec.errors import DegreeTooHigh, NotADivisor, TooLarge
+from blockfec.errors import (
+    DegreeTooHigh,
+    InvalidSymbol,
+    LengthMismatch,
+    NotADivisor,
+    TooLarge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,29 @@ def test_parity_polynomial(c83, gf3):
 def test_not_a_divisor(gf2):
     with pytest.raises(NotADivisor):
         CyclicCode(gf2, 7, [1, 1, 1])  # 1 + x + x^2 does not divide x^7 - 1
+
+
+@pytest.mark.parametrize("word,error", [
+    ([0] * 8, LengthMismatch), ([1, 1, 0, 1, 0, 0], LengthMismatch),
+    ([2, 0, 0, 0, 0, 0, 0], InvalidSymbol), ([-1, 1, 0, 1, 0, 0, 0], InvalidSymbol),
+])
+def test_contains_checks_its_word(c74, word, error):
+    # as LinearCode.contains does; the word is not read as a polynomial
+    with pytest.raises(error):
+        c74.contains(word)
+    with pytest.raises(error):
+        LinearCode.from_generator(c74.field, c74.matrices()[0]).contains(word)
+    assert c74.contains([1, 1, 0, 1, 0, 0, 0])
+    assert not c74.contains([1, 1, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("g", [[-1, 1, 0, 1], [3, 1, 0, 1], [1.0, 1, 0, 1], [1, 1, 0, None]])
+def test_generator_coefficients_outside_the_field_are_rejected(gf2, g):
+    # -1 would index the log table from its end and pass the divisor check
+    with pytest.raises(InvalidSymbol):
+        CyclicCode(gf2, 7, g)
+    with pytest.raises(InvalidSymbol):
+        CyclicCode(gf2, 7, Poly(gf2, g))
 
 
 def test_whole_space_generator(gf2):

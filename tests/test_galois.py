@@ -289,6 +289,15 @@ def test_out_of_range_digit_raises(p, nu, digits):
         FiniteField(p, nu).element(digits)
 
 
+@pytest.mark.parametrize("p,nu,modulus", [
+    (2, 3, (1, 1, 0, -1)), (2, 3, (3, 1, 0, 1)), (3, 2, (5, 4, 1)), (2, 3, ("1", 1, 0, 1)),
+])
+def test_out_of_range_modulus_digit_raises(p, nu, modulus):
+    # modulus digits outside range(p) are not reduced mod p either
+    with pytest.raises(InvalidSymbol, match="is not a digit of"):
+        FiniteField(p, nu, modulus)
+
+
 # -- conjugacy and minimal polynomials ----------------------------------------
 
 def test_conjugacy_classes_gf16(gf16):

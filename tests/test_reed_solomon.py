@@ -1,15 +1,18 @@
 """Reed-Solomon construction, encoding, and the two decoders."""
 
 import hashlib
+import importlib.util
 import random
 import subprocess
 import sys
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
 from blockfec import (
+    CyclicCode,
     FiniteField,
     InterleavedCode,
     LinearCode,
@@ -798,22 +801,50 @@ def test_erasure_free_words_share_one_empty_erasure_set(gf8):
         assert code._memo and all(e is empty for _, e, _ in code._memo)
 
 
-# -- gathered syndromes and Chien search of large GF(2^m) codes ----------------------
+# -- the one log-matrix kernel and its two backends -----------------------------------
 
-@pytest.mark.parametrize("m", [2, 8, 10])
-def test_gather_eval_matches_horner(m):
-    f = FiniteField(2, m)
+def numpy_backend(rows):
+    import numpy as np
+
+    return np.array(rows, dtype=np.intp)
+
+
+# (prime, m, backend): GF(2^m) over both backends, odd p over the pure-Python one
+KERNEL_CASES = {
+    "2": (2, 2, numpy_backend), "8": (2, 8, numpy_backend), "10": (2, 10, numpy_backend),
+    "2-python": (2, 2, list), "8-python": (2, 8, list), "10-python": (2, 10, list),
+    "gf9-python": (3, 2, list), "gf11-python": (11, 1, list),
+}
+
+
+@pytest.mark.parametrize("prime,m,backend", KERNEL_CASES.values(), ids=KERNEL_CASES)
+def test_gather_eval_matches_horner(prime, m, backend):
+    f = FiniteField(prime, m)
     rng = random.Random(m)
     points = [f.exp(rng.randrange(f.q - 1)) for _ in range(9)] + [1]
-    E = reed_solomon.power_log_matrix(f, points, 12)
+    rows = reed_solomon.power_log_rows(f, points, 12)
     powers = [[f.pow(x, i) for i in range(12)] for x in points]
-    assert (E == reed_solomon.log_matrix(f, powers)).all()
+    assert rows == reed_solomon.log_rows(f, powers)
+    E = backend(rows)
     for size in [0, 1, 5, 12]:
         for _ in range(20):
             # zero coefficients, trailing ones included, read the zero tail
             coeffs = [rng.choice((0, rng.randrange(f.q))) for _ in range(size)]
             p = Poly(f, coeffs)
             assert reed_solomon.gather_eval(f, E, coeffs) == [p(x) for x in points]
+
+
+@pytest.mark.parametrize("prime,m,backend", KERNEL_CASES.values(), ids=KERNEL_CASES)
+def test_gather_eval_reads_the_listed_rows_and_columns(prime, m, backend):
+    f = FiniteField(prime, m)
+    rng = random.Random(f.q)
+    M = [[rng.randrange(f.q) for _ in range(6)] for _ in range(5)]
+    E = backend(reed_solomon.log_rows(f, M))
+    for rows, cols in [([], [0]), ([4, 0, 4], [5, 1]), ([2], []), (None, [3, 0, 2])]:
+        coeffs = [rng.randrange(f.q) for _ in cols]
+        want = [reduce(f.add, [f.mul(M[j][i], c) for i, c in zip(cols, coeffs)], 0)
+                for j in (range(5) if rows is None else rows)]
+        assert reed_solomon.gather_eval(f, E, coeffs, rows=rows, cols=cols) == want
 
 
 @pytest.mark.parametrize("solver", RSCode.DECODERS)
@@ -893,6 +924,86 @@ def test_gathered_encode_equals_horner(monkeypatch, name):
             with pytest.raises(FecError) as raised:
                 rs.encode(bad)
             assert type(raised.value) is error
+
+
+# every corpus code, RS(7,5) over GF(8) and the large codes: small, odd-p,
+# shortened and gathered codes, with m0 of 0, 1 and 3
+ENCODE_CODES = {**CORPUS_CODES, **LARGE_CODES,
+                "gf8-7-5": lambda: RSCode(FiniteField(2, 3, (1, 1, 0, 1)), 7, 5)}
+
+
+@pytest.mark.parametrize("name", ENCODE_CODES)
+def test_systematic_encode_equals_cyclic_division(name):
+    # every systematic encode reads the parity map -P^T; the oracle is the
+    # long division of the cyclic encoder, with the suppressed block removed
+    rs = ENCODE_CODES[name]()
+    cut = rs.shorten_by
+    oracle = CyclicCode(rs.field, rs.n + cut, rs.g)
+    q, k, rng = rs.field.q, rs.k, random.Random(name)
+    for i in range(300):
+        # full and short messages, zero symbols included
+        size = k if i % 3 else rng.randint(0, k)
+        msg = [rng.choice((0, rng.randrange(q))) for _ in range(size)]
+        want = oracle.encode(msg + [0] * (k + cut - size))
+        assert rs.encode(msg) == want[:k] + want[k + cut:]
+    # the exception types of the encoder these encodes left, and of the
+    # gathered one; a trailing 0.0, which the cyclic encoder's Poly
+    # dropped, is no symbol for the word check either
+    for bad, error in [([1] * (k + 1), DegreeTooHigh), ([q] + [0] * (k - 1), InvalidSymbol),
+                       ([q - 1, -1], InvalidSymbol), ([1.0], InvalidSymbol),
+                       ([0.0, 1], InvalidSymbol), (["1"], InvalidSymbol),
+                       ([None], InvalidSymbol), ([1, None], InvalidSymbol),
+                       ([1, 0.0], InvalidSymbol)]:
+        with pytest.raises(FecError) as raised:
+            rs.encode(bad)
+        assert type(raised.value) is error
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def pool_digest(name, seed, monkeypatch):
+    """sha256 over the benchmark pool's codewords and outcomes, and over
+    the outcome, key_state included, of every RS decode they ran."""
+    spec = importlib.util.spec_from_file_location("blockfec_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look the module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    h, decode = hashlib.sha256(), RSCode._decode
+
+    def traced(*args):
+        out = decode(*args)
+        h.update(repr(out).encode())
+        return out
+
+    monkeypatch.setattr(RSCode, "_decode", traced)
+    w = workloads.WORKLOADS[name]
+    codes = w.build()
+    for op in islice(w.ops(seed), w.pool_len):
+        result = w.step(codes, op)
+        h.update(repr((result.get("sent"), result.get("out"), result.get("error"))).encode())
+    return h.hexdigest()
+
+
+# recorded while the small and odd-p codes still ran Horner's rule and
+# cyclic division, and only the large codes the numpy gathers
+POOL_DIGESTS = {
+    'burst_gf8/1':
+        "0e9ddcb1afeaed3bce00cabc1e6f8728418da1032c9f4783673f7811fbbe0452",
+    'burst_gf8/7':
+        "46fe9f63ffbcc1ad26ea991e02cf5ba3f5694288283912101f8676a26c6c7459",
+    'rs255/1':
+        "7ab09ca498db2a7df0994deac7cab4b087dbcb66eba320d2f4dd82e5a42430d4",
+    'rs255/7':
+        "7714ffa118655df01af9a61a90d320ae6e34d3c0747e8d0ac659537e025e00d6",
+}
+
+
+@pytest.mark.parametrize("key", POOL_DIGESTS)
+def test_bench_pool_outcomes_unchanged(key, monkeypatch):
+    name, seed = key.split("/")
+    assert pool_digest(name, int(seed), monkeypatch) == POOL_DIGESTS[key]
 
 
 def test_gathered_code_takes_words_of_bools():
