@@ -31,6 +31,7 @@ class BCHCode:
         self.designed_d = designed_d
         self.m0 = m0
         self.subfield = subfield_elements(field, sub_order)
+        self.radius = (designed_d - 1) // 2
 
         g = Poly.one(field)
         seen = set()

@@ -88,6 +88,7 @@ class InterleavedCode:
         self.depth = depth
         self.field = base.field
         self.subfield = base.subfield
+        self.radius = None   # each column has its own
         self.n = base.n * depth
         self.k = base.k * depth
 
@@ -275,6 +276,7 @@ class SerialProduct:
     def __init__(self, product, policy=ProductDecodePolicy()):
         self.product, self.policy = product, policy
         self.field, self.subfield = product.field, product.subfield
+        self.radius = None   # the two-stage decoder's is not shown
         self.n, self.k = product.n, product.k
         self.inner, self.n1, self.n2 = product.inner, product.n1, product.n2
 

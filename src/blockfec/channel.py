@@ -11,11 +11,21 @@ and noise from a counter-based Philox stream and hands each batch to a
 kernel, either the scalar decoder (one call per trial) or a binary
 standard array (table lookups over the batch).  Both kernels see the
 same draws, so for one seed they give the same estimates.
+
+The kernel is chosen from the decoder.  A StandardArray takes the
+array kernel.  So does a binary code's own `decode` when the code has
+a bounded-distance `radius` and 2^(n-k)*n <= MAX_ARRAY_VECTORS: such a
+decoder decodes a word within the radius of a codeword to it and
+detects every other word, as the code's standard array cut at that
+radius does.  That array is built on the first call and kept for the
+code object.  Every other decoder, a function wrapping `code.decode`
+included, is called once per trial.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -23,9 +33,13 @@ from numbers import Integral
 import numpy as np
 
 from .errors import TooLarge
-from .linear import LinearCode, StandardArray, hamming_weight
+from .galois import GF
+from .linear import (MAX_ARRAY_VECTORS, LinearCode, StandardArray, _in_alphabet,
+                     hamming_weight)
 
 _PHILOX_BATCH = 1 << 16
+# code -> the array kernel of its own bounded-distance decoder
+_RADIUS_KERNELS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -91,12 +105,18 @@ def capacity(p: float) -> float:
 
 def _detect_rows(array: StandardArray, detect_syndromes) -> set:
     """The array rows of a detect-only syndrome policy; ValueError for
-    a syndrome the array lacks and for the code row's zero syndrome."""
+    a syndrome the array lacks and for the code row's zero syndrome.  A
+    syndrome that a radius array leaves without a leader is detected
+    already and adds no row."""
+    code = array.code
     rows = set()
     for s in detect_syndromes:
         try:
             row = array.row_index(s)
         except KeyError:
+            if (array.radius is not None and len(s) == code.n - code.k
+                    and _in_alphabet(s, code.field.alphabet)):
+                continue
             raise ValueError(f"{tuple(s)} is not a syndrome of the code") from None
         if row == 0:
             raise ValueError("the code row cannot be detect-only")
@@ -120,7 +140,12 @@ def event_polynomials(
     - "P_correct": complementary correct-decoding event
     - "p_bits": one histogram per information symbol
     - "p_err":  their average (Fraction coefficients)
+
+    A radius array (bounded-distance decoding) raises ValueError.
     """
+    if array.radius is not None:
+        raise ValueError("exact events need a complete standard array, "
+                         "not one cut at a radius")
     n, k = code.n, code.k
     detect_rows = _detect_rows(array, detect_syndromes)
     err = [0] * (n + 1)
@@ -177,7 +202,9 @@ def monte_carlo(
     p) and the noise values (uniform nonzero symbols).  A StandardArray
     `decoder` decodes a binary code by table lookups and honours
     `detect_syndromes`; a callable word -> DecodeOutcome is called once
-    per trial, and its uncorrectable verdicts count as detections.
+    per trial, and its uncorrectable verdicts count as detections.  A
+    binary code's own bounded-distance `decode` is run as table lookups
+    too (see the module docstring), with the same results.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
@@ -190,7 +217,7 @@ def monte_carlo(
     elif detect_syndromes:
         raise ValueError("a detect policy needs a StandardArray decoder")
     else:
-        kernel = _scalar_kernel(code, decoder)
+        kernel = _radius_kernel(code, decoder) or _scalar_kernel(code, decoder)
     n, k = code.n, code.k
     # the smallest unsigned dtype that holds every symbol keeps the
     # batch arrays small
@@ -240,10 +267,30 @@ def _scalar_kernel(code, decoder):
     return kernel
 
 
+def _radius_kernel(code, decoder):
+    """The array kernel of `code`'s own bounded-distance decoder, or None
+    unless `decoder` is `code.decode`, the code is binary with a
+    `radius` and its radius array is within MAX_ARRAY_VECTORS.  The
+    array is that of the binary view spanned by the encoded unit
+    messages, so it encodes and reports messages as the code does."""
+    n, k = code.n, code.k
+    if (decoder != code.decode or code.subfield != {0, 1} or code.radius is None
+            or 2 ** (n - k) * n > MAX_ARRAY_VECTORS):
+        return None
+    kernel = _RADIUS_KERNELS.get(code)
+    if kernel is None:
+        view = LinearCode.from_generator(
+            GF(2), [code.encode([int(i == j) for i in range(k)]) for j in range(k)])
+        kernel = _array_kernel(StandardArray(view, code.radius), ())
+        _RADIUS_KERNELS[code] = kernel
+    return kernel
+
+
 def _array_kernel(array, detect_syndromes):
     """Coset-leader decoding of a binary code by table lookups: syndrome
     -> leader and syndrome -> detect flag, then the message through the
-    inverse of G's pivot block."""
+    inverse of G's pivot block.  The detected syndromes are those of
+    the policy and those a radius array leaves without a leader."""
     code = array.code
     if code.field.q != 2:
         raise TooLarge("the standard-array kernel supports binary codes only")
@@ -254,15 +301,16 @@ def _array_kernel(array, detect_syndromes):
     row_index = (np.array(array.leaders) @ Ht & 1) @ weights
     leader_lut = np.zeros((1 << (n - k), n), dtype=np.uint8)
     leader_lut[row_index] = array.leaders
-    detect_lut = np.zeros(1 << (n - k), dtype=bool)
+    detect_lut = np.ones(1 << (n - k), dtype=bool)
+    detect_lut[row_index] = False
     detect_lut[row_index[list(_detect_rows(array, detect_syndromes))]] = True
     pivots, inv = code.pivot_inverse()
     pivots, inv = list(pivots), np.array(inv.rows, dtype=np.uint8)
 
     def kernel(messages, noise_mask, noise_values):
         # a binary noise value is always 1, so the mask is the noise; the
-        # uint8 products sum at most n <= 24 terms (StandardArray caps
-        # 2^n), so they stay exact
+        # uint8 products wrap mod 256, which keeps their parity, so the
+        # bits read after & 1 are exact for any n
         received = (messages @ G & 1) ^ noise_mask
         syndrome = (received @ Ht & 1) @ weights
         decoded = received ^ leader_lut[syndrome]

@@ -140,6 +140,7 @@ class BuiltCode:
         self.code = code
         self.field = code.field
         self.subfield = code.subfield
+        self.radius = code.radius
         self.n = code.n
         self.k = code.k
         self.encode = code.encode

@@ -34,6 +34,7 @@ class CyclicCode:
             raise NotADivisor(f"{g!r} does not divide x^{n} - 1")
         self.field = field
         self.subfield = field.alphabet
+        self.radius = None
         self.n = n
         self.g = g
         self.h = quo
@@ -41,10 +42,13 @@ class CyclicCode:
         self._linear = None
 
     def _as_info_poly(self, u) -> Poly:
-        u = u if isinstance(u, Poly) else Poly(self.field, u)
+        # the symbols are checked as given: Poly drops trailing zeros,
+        # and with them a zero that is no int, such as 0.0
+        coeffs = u.coeffs if isinstance(u, Poly) else tuple(u)
+        check_word(coeffs, len(coeffs), self.subfield)
+        u = u if isinstance(u, Poly) else Poly(self.field, coeffs)
         if u.degree >= self.k:
             raise DegreeTooHigh(f"deg(u) = {u.degree} must be < k = {self.k}")
-        check_word(u.to_vector(self.k), self.k, self.subfield)
         return u
 
     def encode_nonsystematic(self, u) -> Poly:

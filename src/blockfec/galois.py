@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from numbers import Integral
 
 from .errors import (
     DivisionByZero,
@@ -204,7 +205,7 @@ class FiniteField:
         coeffs = list(coeffs)
         if len(coeffs) != self.nu:
             raise ValueError(f"need {self.nu} coefficients, got {len(coeffs)}")
-        bad = [c for c in coeffs if not 0 <= c < self.p]
+        bad = [c for c in coeffs if not isinstance(c, Integral) or not 0 <= c < self.p]
         if bad:
             raise InvalidSymbol(f"{bad[0]!r} is not a digit of GF({self.p})")
         return _pack(coeffs, self.p)

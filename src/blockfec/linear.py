@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
 )
 
-MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays
+MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays, q^(n-k)*n with a radius
 MAX_ML_CODEWORDS = 1 << 20    # q^k cap for brute-force decoding
 MAX_HAMMING_R = 8             # r cap for Hamming codes: H is r x (2^r - 1)
 
@@ -349,6 +349,7 @@ class LinearCode:
         self._array = None
         self._pivot_solver = None
         self.subfield = field.alphabet
+        self.radius = None   # complete decoding
 
     @classmethod
     def from_generator(cls, field, rows) -> "LinearCode":
@@ -517,12 +518,12 @@ def _message_key(u):
     return (hamming_weight(u), tuple(u))
 
 
-def _patterns(f, Ht: MatrixGF):
-    """Every vector of length n (the rows of Ht) with its syndrome, by
-    increasing weight and, within a weight, in increasing order of the
-    reversed coordinates: the last position is the most significant.
-    The syndrome is built up with the vector, one nonzero symbol at a
-    time."""
+def _patterns(f, Ht: MatrixGF, radius: int):
+    """Every vector of length n (the rows of Ht) and weight at most
+    `radius` with its syndrome, by increasing weight and, within a
+    weight, in increasing order of the reversed coordinates: the last
+    position is the most significant.  The syndrome is built up with the
+    vector, one nonzero symbol at a time."""
     add = xor if f.p == 2 else f.add
     terms = [[tuple(f.mul(a, y) for y in row) for a in f.elements()]
              for row in Ht.rows]
@@ -542,7 +543,7 @@ def _patterns(f, Ht: MatrixGF):
             for head, s in level(m - 1, w - 1):
                 yield head + (a,), tuple(map(add, s, term))
 
-    for w in range(len(Ht.rows) + 1):
+    for w in range(radius + 1):
         yield from level(len(Ht.rows), w)
 
 
@@ -559,18 +560,35 @@ class StandardArray:
     weight n when H is rank-deficient, so it visits only the words
     within the covering radius.  The rows keep that order, code row
     first.  `messages` and the q^n words of `rows` are built on first
-    use; decoding reads only the leaders."""
+    use; decoding reads only the leaders.
 
-    def __init__(self, code: LinearCode):
+    With a `radius` the array is cut there: the search stops after
+    weight `radius`, and a syndrome it leaves without a leader leads no
+    row, so `decode` declares its words uncorrectable.  That is the
+    bounded-distance decoder: a word within the radius of a codeword
+    decodes to it, and every other word is detected.  Two patterns
+    within the radius that share a syndrome mean the radius exceeds
+    (d - 1)/2, and raise InvalidParams.  Such an array holds at most
+    q^(n-k) leaders of length n, which is what the size cap counts."""
+
+    def __init__(self, code: LinearCode, radius: int | None = None):
         q, n, k = code.field.q, code.n, code.k
-        if q**n > MAX_ARRAY_VECTORS:
-            raise TooLarge(f"q^n = {q**n} exceeds standard-array cap")
+        size = q**n if radius is None else q ** (n - k) * n
+        if size > MAX_ARRAY_VECTORS:
+            raise TooLarge(f"array size {size} exceeds the standard-array cap")
+        if radius is not None and radius < 0:
+            raise InvalidParams(f"radius must be >= 0, got {radius}")
         self.code = code
+        self.radius = radius
         leaders = {}
-        for v, s in _patterns(code.field, code._Ht):
-            leaders.setdefault(s, v)
-            if len(leaders) == q ** (n - k):
-                break
+        for v, s in _patterns(code.field, code._Ht, n if radius is None else radius):
+            if s not in leaders:
+                leaders[s] = v
+                if radius is None and len(leaders) == q ** (n - k):
+                    break
+            elif radius is not None:
+                raise InvalidParams(f"radius {radius} exceeds (d - 1)/2: "
+                                    f"{leaders[s]} and {v} share a syndrome")
         self.syndromes = list(leaders)
         self.leaders = list(leaders.values())
         self._row_of_syndrome = {s: i for i, s in enumerate(self.syndromes)}
@@ -582,6 +600,8 @@ class StandardArray:
     @cached_property
     def rows(self):
         f = self.code.field
+        if f.q**self.code.n > MAX_ARRAY_VECTORS:
+            raise TooLarge(f"q^n = {f.q**self.code.n} exceeds standard-array cap")
         code_row = [self.code.encode(u) for u in self.messages]
         return [
             [tuple(f.add(a, b) for a, b in zip(leader, c)) for c in code_row]
@@ -594,8 +614,10 @@ class StandardArray:
     def decode(self, word) -> DecodeOutcome:
         w = as_received(word)
         f = self.code.field
-        s = self.code.syndrome(w)   # checks the word
-        leader = self.leaders[self.row_index(s)]
+        row = self._row_of_syndrome.get(self.code.syndrome(w))   # checks the word
+        if row is None:   # beyond the radius
+            return DecodeOutcome.failure()
+        leader = self.leaders[row]
         codeword = tuple(f.sub(a, b) for a, b in zip(w.symbols, leader))
         return DecodeOutcome.correction(
             f, w.symbols, codeword, self.code._message_of(codeword)

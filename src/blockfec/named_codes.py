@@ -29,6 +29,7 @@ class HammingCode:
         self.r = r
         self.field = _GF2
         self.subfield = _GF2.alphabet
+        self.radius = 1
         n = (1 << r) - 1
         cols = [[(i >> (r - 1 - b)) & 1 for i in range(1, n + 1)] for b in range(r)]
         H = MatrixGF(_GF2, cols)
@@ -114,6 +115,7 @@ class GolayCode:
         self.variant = variant
         self.field = _GF2
         self.subfield = _GF2.alphabet
+        self.radius = 3
         self.P = MatrixGF(_GF2, _P)
         self.Q = MatrixGF(_GF2, _Q)
         self.H1 = MatrixGF(_GF2, [r + e for r, e in

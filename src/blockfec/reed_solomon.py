@@ -135,6 +135,7 @@ class RSCode:
                                 f"got {decoder!r}")
         self.field = field
         self.subfield = field.alphabet
+        self.radius = (n - k) // 2
         self._full_n = n
         self._full_k = k
         self.n = n - shorten_by

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from blockfec import (
     perr_first_term,
     round_to_places,
 )
+from blockfec import channel
 from blockfec.codespec import build
 from blockfec.errors import TooLarge
 
@@ -296,6 +298,46 @@ def test_scalar_kernel_reproduces_loop_path(name, p, expected):
         "gf4": lambda: build("linear:field=GF(2^2),rows=1.0.1.1;0.1.1.a2"),
     }[name]()
     assert monte_carlo(code, code.decode, p, 300, 11) == expected
+
+
+# -- a code's own bounded-distance decoder on the array kernel -------------------
+
+RADIUS_SPECS = {
+    "golay24": "golay24",
+    "bch15_5": f"bch:field={GF16},sub=2,d=7",
+    "bch31_21": "bch:field=GF(2^5),sub=2,d=5",   # n > 24
+}
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1])
+@pytest.mark.parametrize("name", RADIUS_SPECS)
+def test_own_decoder_takes_the_radius_array_kernel(name, p):
+    # a wrapped decode is not the code's own, so it is called once per
+    # trial: the scalar oracle.  70 000 trials span two Philox batches.
+    built = build(RADIUS_SPECS[name])
+    bare = built.code
+    scalar = monte_carlo(bare, lambda w: bare.decode(w), p, 70_000, seed=5)
+    # BCH(15,5) at p = 0.01 meets about one word beyond its radius
+    assert p < 0.1 or scalar["P_err_hat"] + scalar["P_det_hat"] > 0
+    for code in (built, bare):
+        assert monte_carlo(code, code.decode, p, 70_000, seed=5) == scalar
+        assert code in channel._RADIUS_KERNELS
+
+
+def test_radius_array_detect_policy_and_events():
+    golay = GolayCode("G24").code
+    arr = StandardArray(golay, 3)
+    unleadered = next(s for s in product((0, 1), repeat=12)
+                      if s not in arr.syndromes)
+    plain = monte_carlo(golay, arr, 0.1, 5_000, seed=3)
+    assert plain["P_det_hat"] > 0
+    # a syndrome beyond the radius is detected already
+    assert monte_carlo(golay, arr, 0.1, 5_000, seed=3,
+                       detect_syndromes={unleadered}) == plain
+    with pytest.raises(ValueError):
+        monte_carlo(golay, arr, 0.1, 100, seed=3, detect_syndromes={(1,) * 11})
+    with pytest.raises(ValueError):
+        event_polynomials(golay, arr)
 
 
 def test_array_kernel_rejects_nonbinary_code():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from blockfec import CyclicCode, LinearCode, Poly, enumerate_cyclic_codes
+from blockfec import CyclicCode, LinearCode, Poly, RSCode, enumerate_cyclic_codes
 from blockfec.cyclic import x_n_minus_1
 from blockfec.errors import (
     DegreeTooHigh,
@@ -86,6 +86,15 @@ def test_systematic_encoding(c83, c74, gf3):
 def test_degree_guard(c83):
     with pytest.raises(DegreeTooHigh):
         c83.encode((1, 1, 1, 1))
+
+
+def test_message_symbols_are_checked_as_given(c74, gf8):
+    # a trailing 0.0 would vanish into the polynomial unchecked
+    for systematic in (True, False):
+        with pytest.raises(InvalidSymbol):
+            c74.encode([1, 0.0], systematic=systematic)
+        with pytest.raises(InvalidSymbol):
+            RSCode(gf8, 7, 3).encode([1, 0.0], systematic=systematic)
 
 
 def test_matrices(c74, gf2):

@@ -282,9 +282,11 @@ def test_out_of_range_element_raises(p, nu, bad, call):
 
 @pytest.mark.parametrize("p,nu,digits", [
     (3, 2, [5, 0]), (3, 2, [0, 3]), (3, 2, [-1, 0]), (2, 3, [0, 2, 0]),
+    (2, 3, [1.5, 0, 0]), (2, 3, [1.0, 0, 0]), (3, 2, ["1", 0]),
 ])
 def test_out_of_range_digit_raises(p, nu, digits):
-    # digits outside range(p) are not reduced mod p
+    # digits outside range(p) are not reduced mod p, and a digit that is
+    # not an integer is outside it
     with pytest.raises(InvalidSymbol):
         FiniteField(p, nu).element(digits)
 

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from blockfec import (
+    BCHCode,
     FiniteField,
     GolayCode,
     HammingCode,
@@ -341,6 +342,72 @@ def test_golay24_standard_array():
             out = arr.decode(r)
             assert out == golay24_decode(r)
             assert out.codeword == c
+
+
+# binary codes whose family decoder is bounded-distance at `radius`
+RADIUS_CODES = {
+    "golay24": lambda: GolayCode("G24"),
+    "golay23": lambda: GolayCode("G23"),
+    "bch15_5": lambda: BCHCode(FiniteField(2, 4), 2, 7),
+    "bch15_7": lambda: BCHCode(FiniteField(2, 4), 2, 5),
+    "bch31_21": lambda: BCHCode(FiniteField(2, 5), 2, 5),
+    "hamming15": lambda: HammingCode(4),
+}
+
+
+def _binary_view(code):
+    """The code as a LinearCode over GF(2), spanned by its encoded unit
+    messages, so it encodes every message as the code does."""
+    units = [[int(i == j) for i in range(code.k)] for j in range(code.k)]
+    return LinearCode.from_generator(FiniteField(2), [code.encode(u) for u in units])
+
+
+@pytest.mark.parametrize("name", RADIUS_CODES)
+def test_radius_array_decodes_every_coset_like_the_family(name):
+    code = RADIUS_CODES[name]()
+    view = _binary_view(code)
+    arr = StandardArray(view, code.radius)
+    rng = random.Random(name)
+    # words supported on n - k independent columns of H: one per syndrome
+    _, pivots = view.H.rref()
+    verdicts = Counter()
+    for bits_ in product((0, 1), repeat=code.n - code.k):
+        rep = [0] * code.n
+        for i, b in zip(pivots, bits_):
+            rep[i] = b
+        words = [tuple(rep)]
+        for _ in range(3):
+            c = code.encode([rng.randrange(2) for _ in range(code.k)])
+            words.append(tuple(a ^ b for a, b in zip(rep, c)))
+        for w in words:
+            got, want = arr.decode(w), code.decode(w)
+            assert (got.verdict, got.codeword, got.info) == \
+                (want.verdict, want.codeword, want.info), w
+            verdicts[got.verdict] += 1
+    assert verdicts["corrected"] == 4 * len(arr.leaders)
+    perfect = name in ("golay23", "hamming15")
+    assert verdicts["uncorrectable"] == 4 * (2 ** (code.n - code.k) - len(arr.leaders))
+    assert (verdicts["uncorrectable"] == 0) == perfect
+
+
+def test_radius_array_guards(gf2):
+    golay = GolayCode("G24").code
+    # Golay24 has d = 8: weight-4 patterns share syndromes
+    with pytest.raises(InvalidParams):
+        StandardArray(golay, 4)
+    with pytest.raises(InvalidParams):
+        StandardArray(golay, -1)
+    # the cap counts the leaders of a radius array, the q^n words otherwise
+    bch31 = _binary_view(BCHCode(FiniteField(2, 5), 2, 5))
+    with pytest.raises(TooLarge):
+        StandardArray(bch31)
+    arr = StandardArray(bch31, 2)
+    assert len(arr.leaders) == 1 + 31 + 465
+    with pytest.raises(TooLarge):
+        arr.rows
+    repetition21 = LinearCode.from_generator(gf2, [[1] * 21])   # 2^20 * 21 > 2^24
+    with pytest.raises(TooLarge):
+        StandardArray(repetition21, 0)
 
 
 def test_decode_checks_the_word_once(monkeypatch, c5):

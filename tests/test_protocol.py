@@ -1,7 +1,8 @@
-"""Every family implements one protocol -- field, n, k, encode(u) and
-decode(word, erasures=()) -> DecodeOutcome, in transmitted coordinates --
-so each composes as the base of an interleave and as either part of a
-product code, and each rejects a malformed word with a FecError."""
+"""Every family implements one protocol -- field, subfield, n, k, radius,
+encode(u) and decode(word, erasures=()) -> DecodeOutcome, in transmitted
+coordinates -- so each composes as the base of an interleave and as
+either part of a product code, and each rejects a malformed word with a
+FecError."""
 
 import random
 from itertools import count
@@ -47,6 +48,13 @@ CASES = {
 }
 TRIALS = 12
 
+# the radius of each family's bounded-distance decoder, which decodes a
+# word to the codeword within it, if there is one, and detects every
+# other word; None for complete and composite decoders
+RADIUS = {"linear": None, "hamming": 1, "golay23": 3, "golay24": 3, "cyclic": None,
+          "rs": 2, "rs_shortened": 3, "rs_pgz": 2, "bch": 3, "interleaved": None,
+          "product": None}
+
 
 class Channel:
     """Random messages and corruptions over one code's alphabet (the
@@ -90,6 +98,12 @@ def test_standalone(name):
         ch.hit(word, positions[:t])
         ch.erase(word, positions[t:])
         ch.check(word, positions[t:], u, c)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_radius(name):
+    built = build(CASES[name][0])
+    assert built.radius == built.code.radius == RADIUS[name]
 
 
 @pytest.mark.parametrize("name", CASES)
