@@ -311,10 +311,12 @@ def product_min_distance(outer, inner) -> int:
 
 def reiger_report(code, l: int) -> dict:
     """Check 2l <= n - k and report the burst-correcting efficiency
-    2l/(n-k) as an exact rational."""
+    2l/(n-k) as an exact rational, for 0 <= l <= n."""
     n, k = code.n, code.k
     if l < 0:
         raise InvalidSpan("negative burst length")
+    if l > n:
+        raise InvalidSpan(f"burst length {l} exceeds n = {n}")
     if l == 0:
         return {"bound_ok": True, "efficiency": Fraction(0)}
     if n == k:

@@ -33,9 +33,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import TooLarge
-from .galois import GF
 from .linear import (MAX_ARRAY_VECTORS, LinearCode, StandardArray, _in_alphabet,
-                     hamming_weight)
+                     hamming_weight, linear_view)
 
 _PHILOX_BATCH = 1 << 16
 # code -> the array kernel of its own bounded-distance decoder
@@ -279,9 +278,7 @@ def _radius_kernel(code, decoder):
         return None
     kernel = _RADIUS_KERNELS.get(code)
     if kernel is None:
-        view = LinearCode.from_generator(
-            GF(2), [code.encode([int(i == j) for i in range(k)]) for j in range(k)])
-        kernel = _array_kernel(StandardArray(view, code.radius), ())
+        kernel = _array_kernel(StandardArray(linear_view(code), code.radius), ())
         _RADIUS_KERNELS[code] = kernel
     return kernel
 

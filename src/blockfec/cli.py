@@ -13,14 +13,13 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bch import BCHCode
 from .burst import reiger_report
 from .channel import event_polynomials, monte_carlo
 from .codespec import SpecError, build, parse_field, parse_spec
 from .cyclic import CyclicCode
 from .errors import FecError, TooLarge
 from .galois import LOG_ZERO
-from .linear import LinearCode, StandardArray
+from .linear import LinearCode, StandardArray, linear_view
 from .named_codes import GolayCode, HammingCode
 from .reed_solomon import RSCode
 
@@ -29,7 +28,8 @@ EXIT_BAD_INPUT = 1
 EXIT_UNCORRECTABLE = 2
 
 # families with a generator polynomial and a non-systematic encoder
-_POLYNOMIAL_CODES = (CyclicCode, RSCode, BCHCode)
+# (a BCHCode is a CyclicCode)
+_POLYNOMIAL_CODES = (CyclicCode, RSCode)
 
 
 def _number(flag: str, token: str, kind=int):
@@ -126,20 +126,15 @@ def _linear_of(built):
     if isinstance(code, (HammingCode, GolayCode)):
         return code.code
     if isinstance(code, CyclicCode):
-        return LinearCode.from_generator(built.field, code.matrices()[0])
-    # generic linear view: encode the unit messages
-    rows = [
-        built.encode(tuple(1 if i == j else 0 for i in range(built.k)))
-        for j in range(built.k)
-    ]
-    return LinearCode.from_generator(built.field, rows)
+        return linear_view(code, code.matrices()[0].rows)
+    return linear_view(code)
 
 
 def cmd_array(args) -> int:
     built = build(args.code)
     code = _linear_of(built)
     array = StandardArray(code)
-    fld = built.field
+    fld = code.field
 
     def vec(w):
         return "".join(fld.format_element(x, "vector") for x in w)
@@ -207,6 +202,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     built = build(args.code)
+    # a bad --burst fails before anything is printed
+    burst = None if args.burst is None else reiger_report(built, args.burst)
     if isinstance(built.code, _POLYNOMIAL_CODES):
         gen = built.code.g
         coeffs = ",".join(
@@ -223,10 +220,9 @@ def cmd_analyze(args) -> int:
         print(f"perfect={rep['perfect']}")
     except TooLarge:
         print("bounds: skipped (too large for exhaustive distance)")
-    if args.burst is not None:
-        rep = reiger_report(built, args.burst)
-        print(f"burst_l={args.burst} bound_ok={rep['bound_ok']} "
-              f"efficiency={rep['efficiency']}")
+    if burst is not None:
+        print(f"burst_l={args.burst} bound_ok={burst['bound_ok']} "
+              f"efficiency={burst['efficiency']}")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from .errors import (
     RankDeficient,
     TooLarge,
 )
+from .galois import GF
 
 MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays, q^(n-k)*n with a radius
 MAX_ML_CODEWORDS = 1 << 20    # q^k cap for brute-force decoding
@@ -508,6 +509,17 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}] over {self.field.spec_string()}"
+
+
+def linear_view(code, rows=None) -> LinearCode:
+    """The LinearCode spanned by `rows`, by default the encoded unit
+    messages, over GF(p) when the code's symbols are those of the prime
+    field and over `code.field` otherwise."""
+    k, p = code.k, code.field.p
+    if rows is None:
+        rows = [code.encode([int(i == j) for i in range(k)]) for j in range(k)]
+    field = GF(p) if code.subfield == frozenset(range(p)) else code.field
+    return LinearCode.from_generator(field, rows)
 
 
 # ----------------------------------------------------------------------

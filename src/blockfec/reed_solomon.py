@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
 
-from .cyclic import CyclicCode
 from .errors import DegreeTooHigh, InvalidParams
 from .linear import (
     DecodeOutcome,
@@ -149,7 +148,6 @@ class RSCode:
         self._syndrome_points = [field.pow(self.beta, m0 + j) for j in range(n - k)]
         self._chien_points = [field.pow(self.beta, -i) for i in range(n)]
         self.g = Poly.from_roots(field, self._syndrome_points)
-        self._cyclic = CyclicCode(field, n, self.g)
         # the most erasures a memoised word may have (-1: none is)
         syndromes, t = field.q ** (n - k), -1
         while t < n - k and syndromes * comb(n, t + 1) <= MEMO_KEYS:
@@ -208,11 +206,11 @@ class RSCode:
             )
         # short messages and the suppressed block are zero-padded
         full = u + (0,) * (self._full_k - len(u))
-        if not systematic:
-            return self._cyclic.encode(full, systematic=False)
-        # the kernel reads the tables unchecked (log[-1] would wrap), so
-        # the message is checked here, as the cyclic encoder does
+        # neither encoder checks the message (the kernel's log[-1] would
+        # wrap, and Poly drops a trailing 0.0), so it is checked here
         check_word(full, self._full_k, self.subfield)
+        if not systematic:
+            return (Poly(self.field, full) * self.g).to_vector(self._full_n)
         return full[: self.k] + tuple(gather_eval(self.field, self._parity_logs, u))
 
     # -- syndromes ------------------------------------------------------------

@@ -5,12 +5,44 @@ from itertools import combinations
 
 import pytest
 
-from blockfec import BCHCode, FiniteField, Poly, minimal_polynomial
-from blockfec.errors import SubfieldViolation
+from blockfec import BCHCode, CyclicCode, FiniteField, Poly, RSCode, minimal_polynomial
+from blockfec.errors import InvalidSymbol, SubfieldViolation
 
 
 def P(field, *coeff_logs):
     return Poly(field, [0 if l is None else field.exp(l) for l in coeff_logs])
+
+
+# -- construction ---------------------------------------------------------------
+
+def test_construction_divides_x_n_minus_1_once(gf16, monkeypatch):
+    # a BCH code is one cyclic code; an RS code builds none
+    runs, init = [], CyclicCode.__init__
+
+    def counted(self, *args):
+        runs.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(CyclicCode, "__init__", counted)
+    RSCode(gf16, 15, 9)
+    RSCode(gf16, 15, 11, shorten_by=5)
+    assert runs == []
+    code = BCHCode(gf16, 2, 7)
+    assert runs == ["BCHCode"]
+    assert isinstance(code, CyclicCode)
+    assert not hasattr(code, "_cyclic") and not hasattr(code.rs, "_cyclic")
+
+
+def test_inherited_contains_checks_the_subfield(gf16):
+    code = BCHCode(gf16, 2, 7)
+    rng = random.Random(4)
+    for _ in range(20):
+        assert code.contains(code.encode([rng.randrange(2) for _ in range(5)]))
+    word = list(code.encode((1, 0, 1, 1, 0)))
+    word[3] ^= 1
+    assert not code.contains(word)
+    with pytest.raises(InvalidSymbol):
+        code.contains((gf16.exp(3),) + (0,) * 14)
 
 
 # -- generator polynomials ------------------------------------------------------

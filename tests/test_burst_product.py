@@ -332,6 +332,14 @@ def test_reiger_report(gf8):
     assert reiger_report(rs, 0)["efficiency"] == 0
 
 
+def test_reiger_report_takes_bursts_up_to_n(gf8):
+    # as is_burst does: no burst is longer than the word
+    rs = RSCode(gf8, 7, 3)
+    assert reiger_report(rs, 7) == {"bound_ok": False, "efficiency": Fraction(14, 4)}
+    with pytest.raises(InvalidSpan):
+        reiger_report(rs, 8)
+
+
 def test_rs_binary_burst_efficiency():
     assert rs_binary_burst_efficiency(8, 1) == Fraction(1, 8)
     assert rs_binary_burst_efficiency(8, 10) == Fraction(73, 80)

@@ -401,6 +401,41 @@ def test_analyze(capsys):
     assert "efficiency=1" in out
 
 
+BCH15_5 = "bch:field=GF(2^4)[1,1,0,0,1],sub=2,d=7"
+BCH3_1 = "bch:field=GF(2^2),sub=2,d=3"
+
+
+@pytest.mark.parametrize("code,lines", [
+    # 2^10 syndromes against V_2(15, 3) = 576 words
+    (BCH15_5, ["n=15 k=5 d=7", "hamming_slack=0.830075", "perfect=False"]),
+    # the [3,1,3] repetition code is perfect
+    (BCH3_1, ["g=1,1,1", "n=3 k=1 d=3", "singleton_met=True", "hamming_slack=0",
+              "perfect=True"]),
+    ("bch:field=GF(2^4)[1,1,0,0,1],sub=2,d=5", ["n=15 k=7 d=5", "hamming_slack=1.08114"]),
+    ("interleaved:depth=2,base={" + BCH15_5 + "}", ["n=30 k=10 d=7"]),
+])
+def test_analyze_binary_bch_over_gf2(capsys, code, lines):
+    status, out, _ = run(capsys, "analyze", "--code", code)
+    assert status == 0
+    assert set(lines) <= set(out.splitlines())
+
+
+def test_array_of_binary_bch_is_over_gf2(capsys):
+    status, out, _ = run(capsys, "array", "--code", BCH3_1)
+    assert status == 0
+    lines = out.strip().splitlines()
+    assert lines[0].split("\t") == ["message", "0", "1", "syndrome"]
+    assert lines[1].split("\t") == ["000", "111", "00"]
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize("code,burst", [(RS73, "8"), ("hamming:r=3", "-1")])
+def test_analyze_checks_the_burst_length_before_printing(capsys, code, burst):
+    status, out, err = run(capsys, "analyze", "--code", code, "--burst", burst)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and "burst length" in err
+
+
 PRODUCT = ("product:outer={rs:field=GF(2^3)[1,1,0,1],k=3,n=7},"
            "inner={rs:field=GF(2^3)[1,1,0,1],k=5,n=7}")
 

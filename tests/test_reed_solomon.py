@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from blockfec import (
+    BCHCode,
     CyclicCode,
     FiniteField,
     InterleavedCode,
@@ -914,7 +915,7 @@ def test_gathered_encode_equals_horner(monkeypatch, name):
         size = k if i % 3 else rng.randint(0, k)
         msg = [rng.choice((0, rng.randrange(q))) for _ in range(size)]
         assert gathered.encode(msg) == horner.encode(msg)
-    # non-systematic encodes stay on the cyclic encoder
+    # non-systematic encodes are the product u*g on both
     if not gathered.shorten_by:
         assert gathered.encode(msg, systematic=False) == horner.encode(msg, systematic=False)
     for bad, error in [([256] + [0] * (k - 1), InvalidSymbol),
@@ -956,6 +957,35 @@ def test_systematic_encode_equals_cyclic_division(name):
                        ([1, 0.0], InvalidSymbol)]:
         with pytest.raises(FecError) as raised:
             rs.encode(bad)
+        assert type(raised.value) is error
+
+
+# every unshortened corpus code, RS(7,3) over GF(8) among them, and binary
+# BCH codes over GF(16) and GF(32)
+NONSYSTEMATIC_CODES = {
+    **{name: build for name, build in CORPUS_CODES.items() if "short" not in name},
+    "bch-15-5": lambda: BCHCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 2, 7),
+    "bch-15-7": lambda: BCHCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 2, 5),
+    "bch-31-16": lambda: BCHCode(FiniteField(2, 5, (1, 0, 1, 0, 0, 1)), 2, 7),
+}
+
+
+@pytest.mark.parametrize("name", NONSYSTEMATIC_CODES)
+def test_nonsystematic_encode_equals_cyclic_product(name):
+    code = NONSYSTEMATIC_CODES[name]()
+    oracle = CyclicCode(code.field, code.n, code.g)
+    symbols, k, rng = sorted(code.subfield), code.k, random.Random(name)
+    for i in range(300):
+        # full and short messages, zero symbols included
+        size = k if i % 3 else rng.randint(0, k)
+        msg = [rng.choice((0, rng.choice(symbols))) for _ in range(size)]
+        assert code.encode(msg, systematic=False) == oracle.encode(msg, systematic=False)
+    # bad messages raise the cyclic encoder's exception types
+    q = code.field.q
+    for bad, error in [([q] + [0] * (k - 1), InvalidSymbol), ([1, -1], InvalidSymbol),
+                       ([1, 0.0], InvalidSymbol), ([1] * (k + 1), DegreeTooHigh)]:
+        with pytest.raises(FecError) as raised:
+            code.encode(bad, systematic=False)
         assert type(raised.value) is error
 
 
