@@ -8,18 +8,31 @@ when p is a Fraction.
 
 `monte_carlo` is the empirical counterpart: one driver draws messages
 and noise from a counter-based Philox stream and hands each batch to a
-kernel, either the scalar decoder (one call per trial) or a binary
-standard array (table lookups over the batch).  Both kernels see the
-same draws, so for one seed they give the same estimates.
+kernel.  There are three: the scalar decoder, called once per trial; a
+binary standard array, table lookups over the batch; and the batch
+decoder of a GF(2^m) Reed-Solomon code (`RSCode.decode_batch`), numpy
+over the batch.  Every kernel sees the same draws, so for one seed they
+give the same estimates.
 
 The kernel is chosen from the decoder.  A StandardArray takes the
-array kernel.  So does a binary code's own `decode` when the code has
-a bounded-distance `radius` and 2^(n-k)*n <= MAX_ARRAY_VECTORS: such a
-decoder decodes a word within the radius of a codeword to it and
-detects every other word, as the code's standard array cut at that
-radius does.  That array is built on the first call and kept for the
-code object.  Every other decoder, a function wrapping `code.decode`
-included, is called once per trial.
+array kernel.  A code's own `decode` (the bound method, as `code.decode`
+gives it for the code or for a BuiltCode of it) takes a batch kernel
+when it is a bounded-distance decoder that a batch kernel reproduces:
+
+- a binary code with a `radius` and 2^(n-k)*n <= MAX_ARRAY_VECTORS runs
+  as its standard array cut at that radius;
+- a Reed-Solomon code over GF(2^m) runs as inversionless
+  Berlekamp-Massey in lockstep over the batch.
+
+Both rest on one fact.  These decoders emit the codeword within
+distance t of the word when there is one and detect every other word,
+and that codeword is unique because 2t < d.  So any decoder with that
+property, a radius array or another key-equation solver, returns the
+same verdict and codeword on every word, and `monte_carlo` the same
+result dict bit for bit.  The kernel's tables are built on the first
+call and kept per code object.  Every other decoder, a function
+wrapping `code.decode` included, is called once per trial, and the
+tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -35,10 +48,13 @@ import numpy as np
 from .errors import TooLarge
 from .linear import (MAX_ARRAY_VECTORS, LinearCode, StandardArray, _in_alphabet,
                      hamming_weight, linear_view)
+from .reed_solomon import RSCode
 
 _PHILOX_BATCH = 1 << 16
 # code -> the array kernel of its own bounded-distance decoder
 _RADIUS_KERNELS = weakref.WeakKeyDictionary()
+# code -> the batch kernel of its own GF(2^m) Reed-Solomon decoder
+_RS_KERNELS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,8 @@ def monte_carlo(
     `detect_syndromes`; a callable word -> DecodeOutcome is called once
     per trial, and its uncorrectable verdicts count as detections.  A
     binary code's own bounded-distance `decode` is run as table lookups
-    too (see the module docstring), with the same results.
+    too, and a GF(2^m) RS code's own `decode` as its batch decoder (see
+    the module docstring), with the same results.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
@@ -216,7 +233,8 @@ def monte_carlo(
     elif detect_syndromes:
         raise ValueError("a detect policy needs a StandardArray decoder")
     else:
-        kernel = _radius_kernel(code, decoder) or _scalar_kernel(code, decoder)
+        kernel = (_radius_kernel(code, decoder) or _rs_kernel(code, decoder)
+                  or _scalar_kernel(code, decoder))
     n, k = code.n, code.k
     # the smallest unsigned dtype that holds every symbol keeps the
     # batch arrays small
@@ -280,6 +298,29 @@ def _radius_kernel(code, decoder):
     if kernel is None:
         kernel = _array_kernel(StandardArray(linear_view(code), code.radius), ())
         _RADIUS_KERNELS[code] = kernel
+    return kernel
+
+
+def _rs_kernel(code, decoder):
+    """The batch kernel of a GF(2^m) RSCode's own `decode`, or None
+    unless `decoder` is that method and `code.decode` too (the RSCode
+    itself, or a BuiltCode of it).  It encodes, adds the noise and
+    decodes the batch with the code's `BatchCoder`, which holds no
+    reference to the code, so the cache does not keep the code alive."""
+    rs = getattr(decoder, "__self__", None)
+    if (not isinstance(rs, RSCode) or rs.field.p != 2
+            or not decoder == rs.decode == code.decode):
+        return None
+    kernel = _RS_KERNELS.get(code)
+    if kernel is None:
+        batch = rs._batch
+
+        def kernel(messages, noise_mask, noise_values):
+            words = batch.encode(messages) ^ np.where(noise_mask, noise_values, 0)
+            ok, words = batch.decode(words)
+            return ~ok, words[:, :batch.k]
+
+        _RS_KERNELS[code] = kernel
     return kernel
 
 

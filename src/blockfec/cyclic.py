@@ -42,14 +42,13 @@ class CyclicCode:
         self._linear = None
 
     def _as_info_poly(self, u) -> Poly:
-        # the symbols are checked as given: Poly drops trailing zeros,
-        # and with them a zero that is no int, such as 0.0
+        # the length and symbols are checked as given: Poly drops trailing
+        # zeros, and with them a zero that is no int, such as 0.0
         coeffs = u.coeffs if isinstance(u, Poly) else tuple(u)
+        if len(coeffs) > self.k:
+            raise DegreeTooHigh(f"message length {len(coeffs)} > k = {self.k}")
         check_word(coeffs, len(coeffs), self.subfield)
-        u = u if isinstance(u, Poly) else Poly(self.field, coeffs)
-        if u.degree >= self.k:
-            raise DegreeTooHigh(f"deg(u) = {u.degree} must be < k = {self.k}")
-        return u
+        return u if isinstance(u, Poly) else Poly(self.field, coeffs)
 
     def encode_nonsystematic(self, u) -> Poly:
         return self._as_info_poly(u) * self.g

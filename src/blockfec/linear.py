@@ -29,7 +29,7 @@ from .errors import (
     RankDeficient,
     TooLarge,
 )
-from .galois import GF
+from .galois import GF, minimal_polynomial
 
 MAX_ARRAY_VECTORS = 1 << 24   # q^n cap for standard arrays, q^(n-k)*n with a radius
 MAX_ML_CODEWORDS = 1 << 20    # q^k cap for brute-force decoding
@@ -513,13 +513,24 @@ class LinearCode:
 
 def linear_view(code, rows=None) -> LinearCode:
     """The LinearCode spanned by `rows`, by default the encoded unit
-    messages, over GF(p) when the code's symbols are those of the prime
-    field and over `code.field` otherwise."""
-    k, p = code.k, code.field.p
+    messages, over the code's own alphabet: GF(p) when the code's
+    symbols are those of the prime field, `code.field` when they are all
+    of it, and otherwise the subfield of order p^b as GF(p^b).  That
+    field is defined by the minimal polynomial over GF(p) of the
+    subfield's primitive element gamma = alpha^((q-1)/(p^b-1)), and the
+    symbol gamma^i is written x^i."""
+    f, sub = code.field, code.subfield
     if rows is None:
-        rows = [code.encode([int(i == j) for i in range(k)]) for j in range(k)]
-    field = GF(p) if code.subfield == frozenset(range(p)) else code.field
-    return LinearCode.from_generator(field, rows)
+        rows = [code.encode([int(i == j) for i in range(code.k)]) for j in range(code.k)]
+    if sub == frozenset(range(f.p)):
+        return LinearCode.from_generator(GF(f.p), rows)
+    if len(sub) == f.q:
+        return LinearCode.from_generator(f, rows)
+    step = (f.q - 1) // (len(sub) - 1)
+    gamma = minimal_polynomial(f, f.exp(step), f.p)
+    small = GF(f.p, gamma.degree, tuple(gamma.coeffs))
+    image = {0: 0, **{f.exp(step * i): small.exp(i) for i in range(len(sub) - 1)}}
+    return LinearCode.from_generator(small, [[image[a] for a in row] for row in rows])
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,15 @@ by XOR.  Every other code holds rows of ints and walks them in pure
 Python, over the nonzero coefficients only.  numpy is imported by the
 first backend alone, so building a code and coding with a small one
 never touch numpy.
+
+A GF(2^m) code also codes a batch of erasure-free words at once:
+`encode_batch` and `decode_batch` run `BatchCoder`, numpy over the
+whole batch.  It reads the same log matrices, copied on first use and
+cut to the transmitted positions, and solves the key equation by
+inversionless Berlekamp-Massey in lockstep.  Its verdicts and codewords
+are those of `decode` with either solver (see `BatchCoder` for why), so
+`channel.monte_carlo` runs an RS code's own `decode` through it.  It
+imports numpy when first used, as the gathered backend does.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
 
-from .errors import DegreeTooHigh, InvalidParams
+from .errors import DegreeTooHigh, InvalidParams, InvalidSymbol, LengthMismatch
 from .linear import (
     DecodeOutcome,
     MatrixGF,
@@ -80,6 +89,9 @@ MEMO_CAP = 1 << 12
 # twice as fast at n(n - k) = 28 and ties at RS(15,9)'s 90; the gate is
 # higher, so that codes up to RS(15,9) decode without numpy
 VECTOR_WORK = 256
+# a batch decodes in chunks of BATCH_WORK // (n(n - k)) words, so that
+# its largest temporaries hold about BATCH_WORK entries
+BATCH_WORK = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,6 +349,40 @@ class RSCode:
             return None
         return values, KeyEquationState(S, s_hat, sigma, sigma2, omega)
 
+    # -- batch coding: GF(2^m), no erasures --------------------------------------
+
+    @cached_property
+    def _batch(self):
+        if self.field.p != 2:
+            raise InvalidParams("batch coding needs a field of characteristic 2")
+        return BatchCoder(self)
+
+    def _batch_rows(self, rows, width: int):
+        import numpy as np
+
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise LengthMismatch(f"need rows of length {width}, got shape {rows.shape}")
+        # bools are symbols 0 and 1, as they are to `check_word`
+        if rows.size and (rows.dtype.kind not in "biu" or rows.min() < 0
+                          or rows.max() >= self.field.q):
+            raise InvalidSymbol(f"batch symbols must be integers in range({self.field.q})")
+        return rows.astype(self._batch.dtype)
+
+    def encode_batch(self, messages):
+        """The systematic codewords of the rows of a (B, k) array of
+        messages, as a (B, n) array (GF(2^m) codes only)."""
+        return self._batch.encode(self._batch_rows(messages, self.k))
+
+    def decode_batch(self, words):
+        """Decode the erasure-free rows of a (B, n) array at once (GF(2^m)
+        codes only).  Returns (ok, codewords): ok[b] is False where
+        `decode` finds row b uncorrectable, and codewords[b] is the
+        codeword `decode` emits for it, or row b as received when not ok.
+        See `BatchCoder` for why the verdicts and codewords are those of
+        either solver."""
+        return self._batch.decode(self._batch_rows(words, self.n))
+
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
         fixed = list(w.symbols)
@@ -404,6 +450,164 @@ def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
         t_prev, t_cur = t_cur, t_prev - q * t_cur
         trace.append((r_cur, q, t_cur))
     return r_cur, t_cur, trace
+
+
+class BatchCoder:
+    """Systematic encoding and erasure-free decoding of a batch of words
+    of a GF(2^m) RS code, in numpy over the whole batch.
+
+    The tables are numpy copies of the code's log matrices, cut to the
+    transmitted positions, and of the field's padded exp and log tables,
+    in the smallest dtypes that hold a symbol and a sum of two logs.  A
+    product is exp[log a + log b] and a sum is an XOR, as in
+    `gather_eval`.  A batch goes in chunks of BATCH_WORK // (n(n-k))
+    words, so no temporary grows with the batch.
+
+    The decoder takes the syndromes of each word; a word whose syndromes
+    are all zero is a codeword and is emitted as it is.  On the others
+    it runs n - k steps of inversionless Berlekamp-Massey (Massey 1969;
+    Sarwate & Shanbhag 2001) in lockstep, with masked updates: no step
+    divides, and the locator comes out up to a nonzero scalar, which
+    cancels in the Forney ratio.  The Chien search tries the transmitted
+    positions only, and one pass yields the locator's even and odd parts;
+    the odd part at X^-1 is X^-1 Lambda'(X^-1), so an error value is
+    Omega(X^-1) X^(-m0) / odd(X^-1), its exponent reduced mod q - 1.  A
+    word is corrected only if its LFSR length L is at most t, deg Lambda
+    = L, the search finds L roots, and the corrected word's syndromes
+    are all zero; a root in the shortened block is not searched, so such
+    a word is rejected, as `decode` rejects an error there.
+
+    Why the verdicts and codewords are those of `decode`, with either
+    solver: both scalar solvers are bounded-distance decoders.  They
+    emit the codeword within distance t of the word when there is one,
+    and reject every other word, since an emitted word passes the same
+    re-check with at most t error positions.  That codeword is unique,
+    because 2t < d.  When it exists, the error locator is the shortest
+    LFSR of the n - k syndromes, which Berlekamp-Massey finds, and the
+    checks above pass; when it does not, no error vector with at most t
+    positions passes the re-check.  So this decoder emits the same
+    codeword on the same words.  Omega is kept to its first t
+    coefficients: a word that passes has deg Omega < L <= t.
+    """
+
+    def __init__(self, code: RSCode):
+        import numpy as np
+
+        f = code.field
+        self.order = order = f.q - 1
+        self.n, self.k, self.nk, self.t = code.n, code.k, code.n - code.k, code.radius
+        self.dtype = np.min_scalar_type(order)
+        log_dtype = np.min_scalar_type(4 * order)
+        self.exp = np.array(f._exp_pad, dtype=self.dtype)
+        self.log = np.array(f._log_pad, dtype=log_dtype)
+        # the transmitted positions in full-length indexing
+        sent = list(range(code.k)) + list(range(code._full_k, code._full_n))
+        self.syndrome = np.array(code._syndrome_logs, dtype=log_dtype)[:, sent]
+        chien = np.array(code._chien_logs, dtype=log_dtype)[sent]
+        self.chien = chien[:, :self.t + 1]
+        self.parity = np.array(code._parity_logs, dtype=log_dtype)
+        # log X^(-m0) = m0 log X^-1 at each transmitted position X
+        self.forney_shift = (code.m0 * chien[:, 1].astype(np.int64) % order
+                             ).astype(log_dtype)
+        # Omega_j sums Lambda_l S_(j-l) over l <= j; index n - k reads a
+        # zero appended to S
+        self.omega_index = np.array([[j - l if l <= j else self.nk
+                                      for l in range(self.t)] for j in range(self.t)],
+                                    dtype=np.intp).reshape(self.t, self.t)
+        self.chunk = max(1, BATCH_WORK // (code.n * self.nk))
+
+    def _chunks(self, size: int):
+        return (slice(s, s + self.chunk) for s in range(0, size, self.chunk))
+
+    def _apply(self, L, rows):
+        """Row b of the result is M rows[b], for the log matrix L of M."""
+        import numpy as np
+
+        return np.bitwise_xor.reduce(self.exp[L + self.log[rows][:, None, :]], axis=2)
+
+    def encode(self, messages):
+        import numpy as np
+
+        out = np.empty((len(messages), self.n), dtype=self.dtype)
+        out[:, :self.k] = messages
+        for s in self._chunks(len(messages)):
+            out[s, self.k:] = self._apply(self.parity, messages[s])
+        return out
+
+    def decode(self, words):
+        import numpy as np
+
+        ok = np.ones(len(words), dtype=bool)
+        out = words.copy()
+        for s in self._chunks(len(words)):
+            S = self._apply(self.syndrome, words[s])
+            rows = np.flatnonzero(S.any(axis=1))
+            if rows.size:
+                good, errors = self._errors(S[rows])
+                rows += s.start
+                ok[rows] = good
+                out[rows] ^= errors
+        return ok, out
+
+    def _errors(self, S):
+        """(ok, error values) of the words with the nonzero syndromes S;
+        the error values of a rejected word are zero."""
+        import numpy as np
+
+        exp, log, nk, t = self.exp, self.log, self.nk, self.t
+        m, zero = len(S), log[0]
+        lS = log[S]
+        # Lambda as symbols, B and gamma as logs
+        lam = np.zeros((m, nk + 1), dtype=self.dtype)
+        lam[:, 0] = 1
+        lB = np.full((m, nk + 1), zero)
+        lB[:, 0] = 0
+        zeros = np.full((m, 1), zero)
+        lgamma = np.zeros(m, dtype=log.dtype)
+        L = np.zeros(m, dtype=np.intp)
+        for r in range(nk):
+            lL = log[lam]
+            delta = np.bitwise_xor.reduce(exp[lL[:, :r + 1] + lS[:, r::-1]], axis=1)
+            ldelta = log[delta]
+            # x B: deg B <= n - k - 1 here, so no coefficient is lost
+            lxB = np.concatenate([zeros, lB[:, :-1]], axis=1)
+            lam = exp[lgamma[:, None] + lL] ^ exp[ldelta[:, None] + lxB]
+            grow = (delta != 0) & (2 * L <= r)
+            lB = np.where(grow[:, None], lL, lxB)
+            L = np.where(grow, r + 1 - L, L)
+            lgamma = np.where(grow, ldelta, lgamma)
+
+        # deg Lambda = L <= t, so the search reads t + 1 coefficients
+        degree = nk - np.argmax(lam[:, ::-1] != 0, axis=1)
+        ok = (L <= t) & (degree == L)
+        rows = np.flatnonzero(ok)
+        lL = log[lam[rows, :t + 1]]
+        terms = exp[self.chien + lL[:, None, :]]
+        odd = np.bitwise_xor.reduce(terms[:, :, 1::2], axis=2)
+        root = np.bitwise_xor.reduce(terms[:, :, 0::2], axis=2) == odd
+        ok[rows] = root.sum(axis=1) == L[rows]
+        keep = ok[rows]
+        rows, lL, odd, root = rows[keep], lL[keep], odd[keep], root[keep]
+        # each word left has L <= t roots: move them into t slots, padded
+        # with positions that are no roots
+        at = np.argsort(~root, axis=1, kind="stable")[:, :t]
+
+        lS = np.concatenate([lS[rows], np.full((len(rows), 1), zero)], axis=1)
+        omega = np.bitwise_xor.reduce(
+            exp[lL[:, None, :t] + lS[:, self.omega_index]], axis=2)
+        num = np.bitwise_xor.reduce(
+            exp[self.chien[at, :t] + log[omega][:, None, :]], axis=2)
+        # in a padding slot log odd may exceed the rest and wrap; masked below
+        lvalue = (log[num] + self.forney_shift[at] + self.order
+                  - log[np.take_along_axis(odd, at, axis=1)]) % self.order
+        e = np.where(np.take_along_axis(root, at, axis=1) & (num != 0), exp[lvalue], 0)
+        # the re-check: the syndromes of the error values are S
+        check = np.bitwise_xor.reduce(
+            exp[self.syndrome.T[at] + log[e][:, :, None]], axis=1)
+        ok[rows] = (check == S[rows]).all(axis=1)
+        errors = np.zeros((m, self.n), dtype=self.dtype)
+        errors[rows[:, None], at] = np.where(ok[rows, None], e, 0)
+        return ok, errors
 
 
 @lru_cache(maxsize=None)

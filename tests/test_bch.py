@@ -7,6 +7,7 @@ import pytest
 
 from blockfec import BCHCode, CyclicCode, FiniteField, Poly, RSCode, minimal_polynomial
 from blockfec.errors import InvalidSymbol, SubfieldViolation
+from blockfec.linear import linear_view
 
 
 def P(field, *coeff_logs):
@@ -234,3 +235,23 @@ def test_erasures_never_raise(gf16):
         if out.corrected:
             assert all(x in (0, 1) for x in out.codeword)
             assert code.rs.syndromes(out.codeword).is_zero
+
+
+def test_linear_view_of_a_gf4_code_is_over_gf4(gf16):
+    from itertools import product as iproduct
+
+    # the view maps the subfield onto GF(4) by a field isomorphism, and
+    # every codeword of the view maps back to a codeword of the code
+    code = BCHCode(gf16, 4, 9)
+    view = linear_view(code)
+    small = view.field
+    assert (small.q, view.n, view.k) == (4, 15, 4)
+    # gamma = alpha^5 is written x
+    image = {0: 0, **{gf16.exp(5 * i): small.exp(i) for i in range(3)}}
+    for a, b in iproduct(code.subfield, repeat=2):
+        assert image[gf16.add(a, b)] == small.add(image[a], image[b])
+        assert image[gf16.mul(a, b)] == small.mul(image[a], image[b])
+    back = {b: a for a, b in image.items()}
+    for u in iproduct(range(4), repeat=view.k):
+        assert code.contains([back[x] for x in view.encode(u)])
+    assert view.min_distance() == 10

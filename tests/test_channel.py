@@ -1,6 +1,8 @@
 """Exact BSC event probabilities and Monte Carlo estimation."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -322,6 +324,57 @@ def test_own_decoder_takes_the_radius_array_kernel(name, p):
     for code in (built, bare):
         assert monte_carlo(code, code.decode, p, 70_000, seed=5) == scalar
         assert code in channel._RADIUS_KERNELS
+
+
+# -- a GF(2^m) RS code's own decoder on the batch kernel ------------------------
+
+RS_SPECS = {
+    "rs10_pgz": f"rs:field={GF16},n=15,k=9,shorten=5,decoder=pgz",
+    "rs7_5": "rs:field=GF(2^3)[1,1,0,1],n=7,k=5",
+    "rs15_11_m0": f"rs:field={GF16},n=15,k=11,m0=0",
+}
+
+
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.5])
+@pytest.mark.parametrize("name", RS_SPECS)
+def test_own_rs_decoder_takes_the_batch_kernel(name, p):
+    # the wrapped decode is the scalar oracle; 70 000 trials span two
+    # Philox batches
+    built = build(RS_SPECS[name])
+    bare = built.code
+    trials = 70_000 if (name, p) == ("rs7_5", 0.05) else 2_000
+    scalar = monte_carlo(bare, lambda w: bare.decode(w), p, trials, seed=9)
+    assert p < 0.3 or scalar["P_err_hat"] > 0 and scalar["P_det_hat"] > 0
+    for code in (built, bare):
+        assert monte_carlo(code, code.decode, p, trials, seed=9) == scalar
+        assert code in channel._RS_KERNELS
+
+
+def test_rs255_batch_kernel_equals_the_loop():
+    rs = build("rs:field=GF(2^8)[1,0,1,1,1,0,0,0,1],n=255,k=223").code
+    scalar = monte_carlo(rs, lambda w: rs.decode(w), 0.07, 300, seed=2)
+    assert 0 < scalar["P_det_hat"] < 1
+    assert monte_carlo(rs, rs.decode, 0.07, 300, seed=2) == scalar
+
+
+def test_other_decoders_of_rs_codes_stay_on_the_loop():
+    rs = build("rs:field=GF(2^3)[1,1,0,1],n=7,k=5").code
+    monte_carlo(rs, rs.pgz_decode, 0.1, 200, seed=1)
+    odd = build("rs:field=GF(3^2),n=8,k=4").code
+    monte_carlo(odd, odd.decode, 0.1, 200, seed=1)
+    bch = build(f"bch:field={GF16},sub=4,d=5").code
+    monte_carlo(bch, bch.decode, 0.1, 200, seed=1)
+    assert not {rs, odd, bch, bch.rs} & set(channel._RS_KERNELS)
+
+
+def test_rs_kernel_cache_does_not_keep_the_code_alive():
+    rs = build("rs:field=GF(2^3)[1,1,0,1],n=7,k=5").code
+    monte_carlo(rs, rs.decode, 0.1, 100, seed=1)
+    assert rs in channel._RS_KERNELS
+    code = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert code() is None
 
 
 def test_radius_array_detect_policy_and_events():

@@ -420,6 +420,15 @@ def test_analyze_binary_bch_over_gf2(capsys, code, lines):
     assert set(lines) <= set(out.splitlines())
 
 
+def test_analyze_bch_over_gf4_is_over_gf4(capsys):
+    # the [15,4,10] code over GF(4): q = 4 in the sphere bound
+    # V_4(15, 4) = 1 + 15*3 + 105*9 + 455*27 + 1365*81
+    status, out, _ = run(capsys, "analyze", "--code",
+                         "bch:field=GF(2^4)[1,1,0,0,1],sub=4,d=9")
+    assert status == 0
+    assert {"n=15 k=4 d=10", "hamming_slack=2.54094"} <= set(out.splitlines())
+
+
 def test_array_of_binary_bch_is_over_gf2(capsys):
     status, out, _ = run(capsys, "array", "--code", BCH3_1)
     assert status == 0
@@ -532,6 +541,39 @@ def test_simulate_nonbinary_extension_field_uses_family_decoder(capsys):
     )
     assert status == 0
     assert "P_err: estimate=" in out and "exact=" not in out
+    assert "family decoder" in err
+
+
+# recorded while every RS code ran on the per-trial loop; the batch
+# kernel must print the same bytes
+RS_SIMULATE_PINS = [
+    (("--code", "rs:field=GF(2^4)[1,1,0,0,1],n=15,k=9,shorten=5,decoder=pgz",
+      "--p", "0.05,0.3", "--trials", "2000", "--seed", "3"),
+     "trials=2000 seed=3 p=0.05\n"
+     "P_err: estimate=0 stderr=0\n"
+     "p_err: estimate=0 stderr=0\n"
+     "P_det: estimate=0.0015 stderr=0.000865\n"
+     "trials=2000 seed=3 p=0.3\n"
+     "P_err: estimate=0.0015 stderr=0.000865\n"
+     "p_err: estimate=0.001375 stderr=0.000414\n"
+     "P_det: estimate=0.351 stderr=0.0107\n"),
+    (("--code", "rs:field=GF(2^3)[1,1,0,1],n=7,k=5", "--p", "0.05,0.2",
+      "--trials", "2000", "--seed", "4", "--format", "csv"),
+     "p,metric,exact,estimate,stderr\n"
+     "0.05,P_err,,0.0275,0.003657\n"
+     "0.05,p_err,,0.012,0.001089\n"
+     "0.05,P_det,,0.0125,0.002484\n"
+     "0.2,P_err,,0.333,0.01054\n"
+     "0.2,p_err,,0.1565,0.003633\n"
+     "0.2,P_det,,0.102,0.006767\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", RS_SIMULATE_PINS, ids=["rs10-pgz", "rs7-5"])
+def test_simulate_rs_output_is_pinned(capsys, argv, expected):
+    status, out, err = run(capsys, "simulate", *argv)
+    assert status == 0
+    assert out == expected
     assert "family decoder" in err
 
 

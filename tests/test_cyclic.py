@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from blockfec import CyclicCode, LinearCode, Poly, RSCode, enumerate_cyclic_codes
+from blockfec import BCHCode, CyclicCode, LinearCode, Poly, RSCode, enumerate_cyclic_codes
 from blockfec.cyclic import x_n_minus_1
 from blockfec.errors import (
     DegreeTooHigh,
@@ -86,6 +86,16 @@ def test_systematic_encoding(c83, c74, gf3):
 def test_degree_guard(c83):
     with pytest.raises(DegreeTooHigh):
         c83.encode((1, 1, 1, 1))
+
+
+def test_long_messages_with_trailing_zeros_are_rejected(c74, gf16):
+    # Poly would drop the extra zeros before a degree check saw them
+    bch = BCHCode(gf16, 2, 7)
+    for code in (c74, bch):
+        for systematic in (True, False):
+            with pytest.raises(DegreeTooHigh):
+                code.encode([1] + [0] * code.k, systematic=systematic)
+        assert code.encode([1] + [0] * (code.k - 1)) == code.encode([1])
 
 
 def test_message_symbols_are_checked_as_given(c74, gf8):

@@ -1,5 +1,6 @@
 """Reed-Solomon construction, encoding, and the two decoders."""
 
+import ast
 import hashlib
 import importlib.util
 import random
@@ -9,6 +10,7 @@ from functools import reduce
 from itertools import combinations, islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockfec import (
@@ -24,7 +26,8 @@ from blockfec import (
     ml_decode,
     reed_solomon,
 )
-from blockfec.errors import DegreeTooHigh, FecError, InvalidParams, InvalidSymbol
+from blockfec.errors import (DegreeTooHigh, FecError, InvalidParams, InvalidSymbol,
+                             LengthMismatch)
 
 
 def logs(field, word):
@@ -1067,3 +1070,95 @@ def test_small_codes_code_without_numpy():
     done = subprocess.run([sys.executable, "-c", probe, where], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.split() == ["False", "True"]
+
+
+# -- the batch decoder ----------------------------------------------------------
+
+BATCH_CODES = {
+    "rs7_3": lambda: RSCode(FiniteField(2, 3, (1, 1, 0, 1)), 7, 3),
+    "rs7_5": lambda: RSCode(FiniteField(2, 3, (1, 1, 0, 1)), 7, 5),
+    # t = 0: every error is detected
+    "rs7_6": lambda: RSCode(FiniteField(2, 3, (1, 1, 0, 1)), 7, 6),
+    "rs10_4-pgz": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 9,
+                                 shorten_by=5, decoder="pgz"),
+    "rs10_4-euclid": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 9,
+                                    shorten_by=5),
+    "rs15_11-m0=0": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 11, m0=0),
+    "rs15_11-m0=2": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 11, m0=2),
+    "rs255": lambda: RSCode(FiniteField(2, 8), 255, 223),
+}
+
+
+def batch_words(rs, count, seed):
+    """(sent codewords, received words) as arrays: random messages, each
+    word hit by 0 to n - k + 2 errors at random positions."""
+    rng = np.random.default_rng(seed)
+    q, n, k = rs.field.q, rs.n, rs.k
+    sent = np.array([rs.encode(u) for u in rng.integers(0, q, (count, k)).tolist()])
+    hits = rng.random((count, n)).argsort(axis=1) < rng.integers(0, n - k + 3, (count, 1))
+    return sent, sent ^ np.where(hits, rng.integers(1, q, (count, n)), 0)
+
+
+@pytest.mark.parametrize("name", BATCH_CODES)
+def test_decode_batch_equals_decode(name):
+    rs = BATCH_CODES[name]()
+    sent, words = batch_words(rs, 300 if name == "rs255" else 10_000, seed=len(name))
+    ok, codewords = rs.decode_batch(words)
+    want_ok, want = [], []
+    for word in words.tolist():
+        out = rs.decode(word)
+        want_ok.append(out.corrected)
+        want.append(out.codeword if out.corrected else word)
+    assert ok.tolist() == want_ok
+    assert codewords.tolist() == [list(c) for c in want]
+    # beyond the radius some words are detected, and on the small codes
+    # some are miscorrected
+    assert not ok.all()
+    if name not in ("rs255", "rs7_6"):
+        assert (ok & (codewords != sent).any(axis=1)).any()
+
+
+@pytest.mark.parametrize("name", ["rs7_3", "rs10_4-pgz", "rs255"])
+def test_encode_batch_equals_encode(name):
+    rs = BATCH_CODES[name]()
+    messages = np.random.default_rng(7).integers(0, rs.field.q, (200, rs.k))
+    assert rs.encode_batch(messages).tolist() == [
+        list(rs.encode(u)) for u in messages.tolist()]
+
+
+def test_batch_input_is_checked(gf9):
+    rs = BATCH_CODES["rs7_5"]()
+    for bad, error in [([[0] * 6], LengthMismatch), ([0] * 7, LengthMismatch),
+                       ([[0] * 6 + [8]], InvalidSymbol), ([[0] * 6 + [-1]], InvalidSymbol),
+                       ([[0.0] * 7], InvalidSymbol)]:
+        with pytest.raises(error):
+            rs.decode_batch(bad)
+    with pytest.raises(LengthMismatch):
+        rs.encode_batch([[1] * 6])
+    with pytest.raises(InvalidParams):
+        RSCode(gf9, 8, 4).decode_batch([[0] * 8])
+    ok, codewords = rs.decode_batch(np.zeros((0, 7), dtype=int))
+    assert ok.shape == (0,) and codewords.shape == (0, 7)
+    word = [True, False] * 3 + [True]
+    assert rs.decode_batch([word])[0][0] == rs.decode(word).corrected
+
+
+def test_batch_decodes_in_chunks(monkeypatch):
+    # chunks of one word decode as one batch does
+    monkeypatch.setattr(reed_solomon, "BATCH_WORK", 1)
+    rs = BATCH_CODES["rs10_4-pgz"]()
+    _, words = batch_words(rs, 500, seed=3)
+    ok, codewords = rs.decode_batch(words)
+    monkeypatch.undo()
+    fresh = BATCH_CODES["rs10_4-pgz"]()
+    assert rs._batch.chunk == 1 and fresh._batch.chunk > 500
+    ok2, codewords2 = fresh.decode_batch(words)
+    assert (ok == ok2).all() and (codewords == codewords2).all()
+
+
+def test_reed_solomon_imports_numpy_only_inside_functions():
+    tree = ast.parse(Path(reed_solomon.__file__).read_text())
+    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [alias.name for node in top for alias in node.names]
+    names += [node.module or "" for node in top if isinstance(node, ast.ImportFrom)]
+    assert names and not any(name.split(".")[0] == "numpy" for name in names)
