@@ -22,7 +22,9 @@ when it is a bounded-distance decoder that a batch kernel reproduces:
 - a binary code with a `radius` and 2^(n-k)*n <= MAX_ARRAY_VECTORS runs
   as its standard array cut at that radius;
 - a Reed-Solomon code over GF(2^m) runs as inversionless
-  Berlekamp-Massey in lockstep over the batch.
+  Berlekamp-Massey in lockstep over the batch, unless a subclass or a
+  patch has replaced its `decode`, `pgz_decode` or `euclid_decode`:
+  the batch decoder reproduces those methods as RSCode defines them.
 
 Both rest on one fact.  These decoders emit the codeword within
 distance t of the word when there is one and detect every other word,
@@ -304,12 +306,13 @@ def _radius_kernel(code, decoder):
 def _rs_kernel(code, decoder):
     """The batch kernel of a GF(2^m) RSCode's own `decode`, or None
     unless `decoder` is that method and `code.decode` too (the RSCode
-    itself, or a BuiltCode of it).  It encodes, adds the noise and
+    itself, or a BuiltCode of it), and the code's public decoders are
+    those `decode_batch` reproduces.  It encodes, adds the noise and
     decodes the batch with the code's `BatchCoder`, which holds no
     reference to the code, so the cache does not keep the code alive."""
     rs = getattr(decoder, "__self__", None)
-    if (not isinstance(rs, RSCode) or rs.field.p != 2
-            or not decoder == rs.decode == code.decode):
+    if (not isinstance(rs, RSCode) or not decoder == rs.decode == code.decode
+            or not rs._batch_is_decode()):
         return None
     kernel = _RS_KERNELS.get(code)
     if kernel is None:

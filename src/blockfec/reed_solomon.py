@@ -52,14 +52,16 @@ Python, over the nonzero coefficients only.  numpy is imported by the
 first backend alone, so building a code and coding with a small one
 never touch numpy.
 
-A GF(2^m) code also codes a batch of erasure-free words at once:
-`encode_batch` and `decode_batch` run `BatchCoder`, numpy over the
-whole batch.  It reads the same log matrices, copied on first use and
-cut to the transmitted positions, and solves the key equation by
-inversionless Berlekamp-Massey in lockstep.  Its verdicts and codewords
-are those of `decode` with either solver (see `BatchCoder` for why), so
-`channel.monte_carlo` runs an RS code's own `decode` through it.  It
-imports numpy when first used, as the gathered backend does.
+A GF(2^m) code also decodes a batch of erasure-free words at once:
+`decode_batch` runs `BatchCoder`, numpy over the whole batch.  It reads
+the same log matrices, copied on first use and cut to the transmitted
+positions, gathers through the numpy backend's kernel, and solves the
+key equation by inversionless Berlekamp-Massey in lockstep.  Its
+verdicts and codewords are those of `decode` with either solver (see
+`BatchCoder` for why), so `channel.monte_carlo` runs an RS code's own
+`decode` through it, unless a subclass or a patch has replaced a
+public decoder.  It imports numpy when first used, as the gathered
+backend does.
 """
 
 from __future__ import annotations
@@ -349,30 +351,13 @@ class RSCode:
             return None
         return values, KeyEquationState(S, s_hat, sigma, sigma2, omega)
 
-    # -- batch coding: GF(2^m), no erasures --------------------------------------
+    # -- batch decoding: GF(2^m), no erasures -----------------------------------
 
     @cached_property
     def _batch(self):
         if self.field.p != 2:
-            raise InvalidParams("batch coding needs a field of characteristic 2")
+            raise InvalidParams("batch decoding needs a field of characteristic 2")
         return BatchCoder(self)
-
-    def _batch_rows(self, rows, width: int):
-        import numpy as np
-
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise LengthMismatch(f"need rows of length {width}, got shape {rows.shape}")
-        # bools are symbols 0 and 1, as they are to `check_word`
-        if rows.size and (rows.dtype.kind not in "biu" or rows.min() < 0
-                          or rows.max() >= self.field.q):
-            raise InvalidSymbol(f"batch symbols must be integers in range({self.field.q})")
-        return rows.astype(self._batch.dtype)
-
-    def encode_batch(self, messages):
-        """The systematic codewords of the rows of a (B, k) array of
-        messages, as a (B, n) array (GF(2^m) codes only)."""
-        return self._batch.encode(self._batch_rows(messages, self.k))
 
     def decode_batch(self, words):
         """Decode the erasure-free rows of a (B, n) array at once (GF(2^m)
@@ -381,7 +366,15 @@ class RSCode:
         codeword `decode` emits for it, or row b as received when not ok.
         See `BatchCoder` for why the verdicts and codewords are those of
         either solver."""
-        return self._batch.decode(self._batch_rows(words, self.n))
+        return self._batch.decode(words)
+
+    def _batch_is_decode(self) -> bool:
+        """Whether `decode_batch` gives this code's `decode`: over GF(2^m),
+        and with the public decoders defined here, not ones a subclass or
+        a patch of the class or the object put in their place."""
+        return self.field.p == 2 and all(
+            getattr(getattr(self, name), "__func__", None) is fn
+            for name, fn in _SCALAR_DECODERS.items())
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
@@ -435,6 +428,12 @@ class RSCode:
         return tpoly.scale(lam), -r.scale(lam)
 
 
+# the public decoders as defined here: `BatchCoder` reproduces them, and
+# `channel.monte_carlo` calls a replaced one once per trial
+_SCALAR_DECODERS = {name: vars(RSCode)[name]
+                    for name in ("decode", "pgz_decode", "euclid_decode")}
+
+
 def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
     """Run r_i = r_{i-2} - q_i r_{i-1} on (x^(n-k), s_hat), tracking the
     coefficient t_i that multiplies s_hat.  Stops at the first remainder
@@ -457,11 +456,11 @@ class BatchCoder:
     of a GF(2^m) RS code, in numpy over the whole batch.
 
     The tables are numpy copies of the code's log matrices, cut to the
-    transmitted positions, and of the field's padded exp and log tables,
-    in the smallest dtypes that hold a symbol and a sum of two logs.  A
-    product is exp[log a + log b] and a sum is an XOR, as in
-    `gather_eval`.  A batch goes in chunks of BATCH_WORK // (n(n-k))
-    words, so no temporary grows with the batch.
+    transmitted positions, and the field's padded exp and log tables of
+    `gather_eval`.  A product is exp[log a + log b] and a sum is an XOR;
+    the encoder and the syndromes are one `_log_matvec` each, the kernel
+    of `gather_eval`'s numpy backend.  A batch goes in chunks of
+    BATCH_WORK // (n(n-k)) words, so no temporary grows with the batch.
 
     The decoder takes the syndromes of each word; a word whose syndromes
     are all zero is a codeword and is emitted as it is.  On the others
@@ -496,19 +495,16 @@ class BatchCoder:
         f = code.field
         self.order = order = f.q - 1
         self.n, self.k, self.nk, self.t = code.n, code.k, code.n - code.k, code.radius
-        self.dtype = np.min_scalar_type(order)
-        log_dtype = np.min_scalar_type(4 * order)
-        self.exp = np.array(f._exp_pad, dtype=self.dtype)
-        self.log = np.array(f._log_pad, dtype=log_dtype)
+        self.exp, self.log = _gather_tables(f)
+        self.dtype = self.exp.dtype
         # the transmitted positions in full-length indexing
         sent = list(range(code.k)) + list(range(code._full_k, code._full_n))
-        self.syndrome = np.array(code._syndrome_logs, dtype=log_dtype)[:, sent]
-        chien = np.array(code._chien_logs, dtype=log_dtype)[sent]
+        self.syndrome = np.asarray(code._syndrome_logs, dtype=np.intp)[:, sent]
+        chien = np.asarray(code._chien_logs, dtype=np.intp)[sent]
         self.chien = chien[:, :self.t + 1]
-        self.parity = np.array(code._parity_logs, dtype=log_dtype)
+        self.parity = np.asarray(code._parity_logs, dtype=np.intp)
         # log X^(-m0) = m0 log X^-1 at each transmitted position X
-        self.forney_shift = (code.m0 * chien[:, 1].astype(np.int64) % order
-                             ).astype(log_dtype)
+        self.forney_shift = code.m0 * chien[:, 1] % order
         # Omega_j sums Lambda_l S_(j-l) over l <= j; index n - k reads a
         # zero appended to S
         self.omega_index = np.array([[j - l if l <= j else self.nk
@@ -519,28 +515,32 @@ class BatchCoder:
     def _chunks(self, size: int):
         return (slice(s, s + self.chunk) for s in range(0, size, self.chunk))
 
-    def _apply(self, L, rows):
-        """Row b of the result is M rows[b], for the log matrix L of M."""
-        import numpy as np
-
-        return np.bitwise_xor.reduce(self.exp[L + self.log[rows][:, None, :]], axis=2)
-
     def encode(self, messages):
+        """The systematic codewords of a (B, k) array of messages in
+        range(q), unchecked."""
         import numpy as np
 
         out = np.empty((len(messages), self.n), dtype=self.dtype)
         out[:, :self.k] = messages
         for s in self._chunks(len(messages)):
-            out[s, self.k:] = self._apply(self.parity, messages[s])
+            out[s, self.k:] = _log_matvec(self.exp, self.log, self.parity, messages[s])
         return out
 
     def decode(self, words):
+        """`RSCode.decode_batch`."""
         import numpy as np
 
+        words = np.asarray(words)
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise LengthMismatch(f"need rows of length {self.n}, got shape {words.shape}")
+        # bools are symbols 0 and 1, as they are to `check_word`
+        if words.size and (words.dtype.kind not in "biu" or words.min() < 0
+                           or words.max() > self.order):
+            raise InvalidSymbol(f"batch symbols must be integers in range({self.order + 1})")
+        out = words.astype(self.dtype)
         ok = np.ones(len(words), dtype=bool)
-        out = words.copy()
         for s in self._chunks(len(words)):
-            S = self._apply(self.syndrome, words[s])
+            S = _log_matvec(self.exp, self.log, self.syndrome, out[s])
             rows = np.flatnonzero(S.any(axis=1))
             if rows.size:
                 good, errors = self._errors(S[rows])
@@ -619,6 +619,15 @@ def _gather_tables(field):
             np.array(field._log_pad, dtype=np.intp))
 
 
+def _log_matvec(exp, log, L, coeffs):
+    """M c over GF(2^m) in numpy, for the log matrix L of M, the tables of
+    `_gather_tables` and c each row of the integer array coeffs: a (B, c)
+    coeffs gives a (B, rows of M) result, a vector a vector."""
+    import numpy as np
+
+    return np.bitwise_xor.reduce(exp[L + log[coeffs][..., None, :]], axis=-1)
+
+
 def log_rows(field, rows):
     """The logs of the entries of a matrix over the field, given as rows,
     with log 0 stored as 2(q - 1): the operand of `gather_eval`."""
@@ -645,12 +654,11 @@ def gather_eval(field, L, coeffs, rows=None, cols=None) -> list:
     if not isinstance(L, list):
         import numpy as np
 
-        exp, log = _gather_tables(field)
         if rows is not None:
             L = L[rows]
         L = L[:, :len(coeffs)] if cols is None else L[:, cols]
-        terms = exp[L + log[np.array(coeffs, dtype=np.intp)]]
-        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+        coeffs = np.array(coeffs, dtype=np.intp)
+        return _log_matvec(*_gather_tables(field), L, coeffs).tolist()
     exp, log = field._exp_pad, field._log_pad
     terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
     if cols is not None:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import types
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,9 @@ from blockfec import (
 from blockfec import channel
 from blockfec.codespec import build
 from blockfec.errors import TooLarge
+from blockfec.galois import FiniteField
+from blockfec.linear import DecodeOutcome
+from blockfec.reed_solomon import RSCode
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
 H6 = [[0, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 1]]
@@ -365,6 +369,31 @@ def test_other_decoders_of_rs_codes_stay_on_the_loop():
     bch = build(f"bch:field={GF16},sub=4,d=5").code
     monte_carlo(bch, bch.decode, 0.1, 200, seed=1)
     assert not {rs, odd, bch, bch.rs} & set(channel._RS_KERNELS)
+
+
+def returns_received(self, word, erasures=()):
+    """A planted bad decoder: every word "corrected" as received."""
+    return DecodeOutcome("corrected", codeword=tuple(word), info=tuple(word[:self.k_out]))
+
+
+def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch):
+    # the batch kernel reproduces RSCode's own decoders, so a code whose
+    # solver a subclass or a patch replaced is called once per trial, and
+    # a bad one shows as errors
+    class Received(RSCode):
+        pgz_decode = returns_received
+
+    sub = Received(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 9, shorten_by=5, decoder="pgz")
+    on_object = build(RS_SPECS["rs10_pgz"])
+    monkeypatch.setattr(on_object.code, "pgz_decode",
+                        types.MethodType(returns_received, on_object.code))
+    monkeypatch.setattr(RSCode, "euclid_decode", returns_received)
+    on_class = build(RS_SPECS["rs7_5"])
+    for code in (sub, on_object, on_object.code, on_class, on_class.code):
+        scalar = monte_carlo(code, lambda w: code.decode(w), 0.05, 1000, seed=4)
+        assert scalar["P_err_hat"] > 0
+        assert monte_carlo(code, code.decode, 0.05, 1000, seed=4) == scalar
+        assert code not in channel._RS_KERNELS
 
 
 def test_rs_kernel_cache_does_not_keep_the_code_alive():

@@ -1119,10 +1119,11 @@ def test_decode_batch_equals_decode(name):
 
 
 @pytest.mark.parametrize("name", ["rs7_3", "rs10_4-pgz", "rs255"])
-def test_encode_batch_equals_encode(name):
+def test_batch_encoder_equals_encode(name):
+    # the Monte Carlo kernel encodes its messages with it
     rs = BATCH_CODES[name]()
     messages = np.random.default_rng(7).integers(0, rs.field.q, (200, rs.k))
-    assert rs.encode_batch(messages).tolist() == [
+    assert rs._batch.encode(messages).tolist() == [
         list(rs.encode(u)) for u in messages.tolist()]
 
 
@@ -1133,8 +1134,6 @@ def test_batch_input_is_checked(gf9):
                        ([[0.0] * 7], InvalidSymbol)]:
         with pytest.raises(error):
             rs.decode_batch(bad)
-    with pytest.raises(LengthMismatch):
-        rs.encode_batch([[1] * 6])
     with pytest.raises(InvalidParams):
         RSCode(gf9, 8, 4).decode_batch([[0] * 8])
     ok, codewords = rs.decode_batch(np.zeros((0, 7), dtype=int))
