@@ -13,11 +13,13 @@ from dataclasses import replace
 from .errors import InvalidParams
 from .cyclic import CyclicCode
 from .galois import conjugacy_class, minimal_polynomial, subfield_elements
-from .linear import DecodeOutcome, received
+from .linear import (DecodeOutcome, own_decoders, radius_codec, received,
+                     runs_own_decoders)
 from .poly import Poly
 from .reed_solomon import RSCode
 
 
+@own_decoders("decode")
 class BCHCode(CyclicCode):
     """The cyclic code of g over GF(sub_order): the codewords of the
     underlying [n, n-(designed_d-1)] RS code whose symbols all lie in
@@ -54,6 +56,12 @@ class BCHCode(CyclicCode):
         if not out.corrected or not self.subfield.issuperset(out.codeword):
             return DecodeOutcome.failure()
         return replace(out, info=out.codeword[: self.k])
+
+    def batch_codec(self):
+        """`radius_codec`, unless a subclass or a patch replaced `decode`
+        or a decoder of `rs`."""
+        own = runs_own_decoders(self, BCHCode) and runs_own_decoders(self.rs, RSCode)
+        return radius_codec(self) if own else None
 
     def __repr__(self):
         return (f"BCHCode[{self.n},{self.k}] over GF({len(self.subfield)}) "

@@ -124,6 +124,10 @@ class InterleavedCode:
             _interleave([out.info for out in outcomes]),
         )
 
+    def batch_codec(self):
+        """None: an interleave runs once per trial."""
+        return None
+
 
 def _interleave(columns) -> tuple:
     """Read equal-length columns out in row order."""
@@ -288,6 +292,10 @@ class SerialProduct:
     def decode(self, word, erasures=()) -> DecodeOutcome:
         return self.product._decode_received(received(self, word, erasures),
                                              self.policy)
+
+    def batch_codec(self):
+        """None: a product runs once per trial."""
+        return None
 
 
 def product_min_distance(outer, inner) -> int:

@@ -7,56 +7,38 @@ the histograms evaluate to probabilities at any crossover p, exactly
 when p is a Fraction.
 
 `monte_carlo` is the empirical counterpart: one driver draws messages
-and noise from a counter-based Philox stream and hands each batch to a
-kernel.  There are three: the scalar decoder, called once per trial; a
-binary standard array, table lookups over the batch; and the batch
-decoder of a GF(2^m) Reed-Solomon code (`RSCode.decode_batch`), numpy
-over the batch.  Every kernel sees the same draws, so for one seed they
-give the same estimates.
+and noise from a counter-based Philox stream and decodes each batch on
+a batch codec, numpy over the batch, or on the loop, which calls the
+decoder once per trial; both see the same draws.  One rule picks the
+path.  A StandardArray decoder runs on its array codec.  A code's own
+`decode` (of the code or of a BuiltCode of it) runs on its family's
+codec, `code.batch_codec()`: the lookup tables of the radius array for
+Golay, Hamming and binary BCH codes, `BatchCoder` for a GF(2^m)
+Reed-Solomon code.  Every other decoder runs on the loop: a function
+wrapping `code.decode`, which the tests use as the oracle, the decoder
+of a family with no codec, and a replaced decoder of any family, since
+a family gives no codec once a subclass or a patch has replaced one of
+the decoder methods that its `decode` calls (`linear.runs_own_decoders`).
 
-The kernel is chosen from the decoder.  A StandardArray takes the
-array kernel.  A code's own `decode` (the bound method, as `code.decode`
-gives it for the code or for a BuiltCode of it) takes a batch kernel
-when it is a bounded-distance decoder that a batch kernel reproduces:
-
-- a binary code with a `radius` and 2^(n-k)*n <= MAX_ARRAY_VECTORS runs
-  as its standard array cut at that radius;
-- a Reed-Solomon code over GF(2^m) runs as inversionless
-  Berlekamp-Massey in lockstep over the batch, unless a subclass or a
-  patch has replaced its `decode`, `pgz_decode` or `euclid_decode`:
-  the batch decoder reproduces those methods as RSCode defines them.
-
-Both rest on one fact.  These decoders emit the codeword within
+The codecs rest on one fact.  These decoders emit the codeword within
 distance t of the word when there is one and detect every other word,
-and that codeword is unique because 2t < d.  So any decoder with that
-property, a radius array or another key-equation solver, returns the
-same verdict and codeword on every word, and `monte_carlo` the same
-result dict bit for bit.  The kernel's tables are built on the first
-call and kept per code object.  Every other decoder, a function
-wrapping `code.decode` included, is called once per trial, and the
-tests use it as the oracle.
+and that codeword is unique because 2t < d.  So a codec and the decoder
+give the same verdict and codeword on every word, and `monte_carlo` the
+same result dict bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
 
-from .errors import TooLarge
-from .linear import (MAX_ARRAY_VECTORS, LinearCode, StandardArray, _in_alphabet,
-                     hamming_weight, linear_view)
-from .reed_solomon import RSCode
+from .linear import ArrayCodec, LinearCode, StandardArray, _in_alphabet, hamming_weight
 
 _PHILOX_BATCH = 1 << 16
-# code -> the array kernel of its own bounded-distance decoder
-_RADIUS_KERNELS = weakref.WeakKeyDictionary()
-# code -> the batch kernel of its own GF(2^m) Reed-Solomon decoder
-_RS_KERNELS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -218,11 +200,11 @@ def monte_carlo(
     `code.subfield`), the noise mask (each symbol hit with probability
     p) and the noise values (uniform nonzero symbols).  A StandardArray
     `decoder` decodes a binary code by table lookups and honours
-    `detect_syndromes`; a callable word -> DecodeOutcome is called once
-    per trial, and its uncorrectable verdicts count as detections.  A
-    binary code's own bounded-distance `decode` is run as table lookups
-    too, and a GF(2^m) RS code's own `decode` as its batch decoder (see
-    the module docstring), with the same results.
+    `detect_syndromes`; the code's own `decode` runs on
+    `code.batch_codec()` when the family gives one, with the results of
+    the loop (see the module docstring); any other callable word ->
+    DecodeOutcome is called once per trial.  Rejected words and
+    uncorrectable verdicts count as detections.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
@@ -231,13 +213,12 @@ def monte_carlo(
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if isinstance(decoder, StandardArray):
-        kernel = _array_kernel(decoder, detect_syndromes)
+        codec = ArrayCodec(decoder, _detect_rows(decoder, detect_syndromes))
     elif detect_syndromes:
         raise ValueError("a detect policy needs a StandardArray decoder")
     else:
-        kernel = (_radius_kernel(code, decoder) or _rs_kernel(code, decoder)
-                  or _scalar_kernel(code, decoder))
-    n, k = code.n, code.k
+        codec = code.batch_codec() if decoder == code.decode else None
+    n, k, add = code.n, code.k, code.field.add
     # the smallest unsigned dtype that holds every symbol keeps the
     # batch arrays small
     alphabet = np.array(sorted(code.subfield))
@@ -251,8 +232,17 @@ def monte_carlo(
         )
         messages = alphabet[rng.integers(0, q, size=(batch, k))]
         noise_mask = rng.random((batch, n)) < p
-        noise_values = alphabet[rng.integers(1, q, size=(batch, n))]
-        detected, info = kernel(messages, noise_mask, noise_values)
+        noise = np.where(noise_mask, alphabet[rng.integers(1, q, size=(batch, n))], 0)
+        if codec is None:   # the loop
+            detected, info = [], []
+            for u, e in zip(messages.tolist(), noise.tolist()):
+                out = decoder(tuple(add(c, x) if x else c for c, x in zip(code.encode(u), e)))
+                detected.append(not out.corrected)
+                info.append(out.info if out.corrected else u)
+            detected, info = np.array(detected, dtype=bool), np.array(info)
+        else:
+            ok, words = codec.decode(codec.encode(messages) ^ noise)
+            detected, info = ~ok, codec.info(words)
         wrong = (info != messages) & ~detected[:, None]
         n_det += int(detected.sum())
         n_err += int(wrong.any(axis=1).sum())
@@ -267,94 +257,3 @@ def monte_carlo(
         "trials": trials, "seed": seed,
     }
 
-
-def _scalar_kernel(code, decoder):
-    """Encode, add the noise and call `decoder` once per trial."""
-    add = code.field.add
-
-    def kernel(messages, noise_mask, noise_values):
-        noise = np.where(noise_mask, noise_values, 0).tolist()
-        detected, info = [], []
-        for u, e in zip(map(tuple, messages.tolist()), noise):
-            out = decoder(tuple(
-                add(c, x) if x else c for c, x in zip(code.encode(u), e)
-            ))
-            detected.append(not out.corrected)
-            info.append(out.info if out.corrected else u)
-        return np.array(detected, dtype=bool), np.array(info)
-
-    return kernel
-
-
-def _radius_kernel(code, decoder):
-    """The array kernel of `code`'s own bounded-distance decoder, or None
-    unless `decoder` is `code.decode`, the code is binary with a
-    `radius` and its radius array is within MAX_ARRAY_VECTORS.  The
-    array is that of the binary view spanned by the encoded unit
-    messages, so it encodes and reports messages as the code does."""
-    n, k = code.n, code.k
-    if (decoder != code.decode or code.subfield != {0, 1} or code.radius is None
-            or 2 ** (n - k) * n > MAX_ARRAY_VECTORS):
-        return None
-    kernel = _RADIUS_KERNELS.get(code)
-    if kernel is None:
-        kernel = _array_kernel(StandardArray(linear_view(code), code.radius), ())
-        _RADIUS_KERNELS[code] = kernel
-    return kernel
-
-
-def _rs_kernel(code, decoder):
-    """The batch kernel of a GF(2^m) RSCode's own `decode`, or None
-    unless `decoder` is that method and `code.decode` too (the RSCode
-    itself, or a BuiltCode of it), and the code's public decoders are
-    those `decode_batch` reproduces.  It encodes, adds the noise and
-    decodes the batch with the code's `BatchCoder`, which holds no
-    reference to the code, so the cache does not keep the code alive."""
-    rs = getattr(decoder, "__self__", None)
-    if (not isinstance(rs, RSCode) or not decoder == rs.decode == code.decode
-            or not rs._batch_is_decode()):
-        return None
-    kernel = _RS_KERNELS.get(code)
-    if kernel is None:
-        batch = rs._batch
-
-        def kernel(messages, noise_mask, noise_values):
-            words = batch.encode(messages) ^ np.where(noise_mask, noise_values, 0)
-            ok, words = batch.decode(words)
-            return ~ok, words[:, :batch.k]
-
-        _RS_KERNELS[code] = kernel
-    return kernel
-
-
-def _array_kernel(array, detect_syndromes):
-    """Coset-leader decoding of a binary code by table lookups: syndrome
-    -> leader and syndrome -> detect flag, then the message through the
-    inverse of G's pivot block.  The detected syndromes are those of
-    the policy and those a radius array leaves without a leader."""
-    code = array.code
-    if code.field.q != 2:
-        raise TooLarge("the standard-array kernel supports binary codes only")
-    n, k = code.n, code.k
-    G = np.array(code.G.rows, dtype=np.uint8)
-    Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
-    weights = 1 << np.arange(n - k - 1, -1, -1)   # syndrome bits -> index
-    row_index = (np.array(array.leaders) @ Ht & 1) @ weights
-    leader_lut = np.zeros((1 << (n - k), n), dtype=np.uint8)
-    leader_lut[row_index] = array.leaders
-    detect_lut = np.ones(1 << (n - k), dtype=bool)
-    detect_lut[row_index] = False
-    detect_lut[row_index[list(_detect_rows(array, detect_syndromes))]] = True
-    pivots, inv = code.pivot_inverse()
-    pivots, inv = list(pivots), np.array(inv.rows, dtype=np.uint8)
-
-    def kernel(messages, noise_mask, noise_values):
-        # a binary noise value is always 1, so the mask is the noise; the
-        # uint8 products wrap mod 256, which keeps their parity, so the
-        # bits read after & 1 are exact for any n
-        received = (messages @ G & 1) ^ noise_mask
-        syndrome = (received @ Ht & 1) @ weights
-        decoded = received ^ leader_lut[syndrome]
-        return detect_lut[syndrome], decoded[:, pivots] @ inv & 1
-
-    return kernel

@@ -146,6 +146,10 @@ class BuiltCode:
         self.encode = code.encode
         self.decode = code.decode
 
+    def batch_codec(self):
+        """The code's batch codec, while `decode` is the code's own."""
+        return self.code.batch_codec() if self.decode == self.code.decode else None
+
 
 def _parse_symbols(field, text: str):
     return tuple(field.parse_element(s) for s in text.split(".") if s != "")

@@ -80,6 +80,10 @@ class CyclicCode:
         out = self._linear.decode(word, erasures)
         return replace(out, info=out.codeword[: self.k])
 
+    def batch_codec(self):
+        """None: complete decoding runs once per trial."""
+        return None
+
     def contains(self, word) -> bool:
         word = check_word(tuple(word), self.n, self.subfield)
         return (Poly(self.field, word) % self.g).is_zero

@@ -15,6 +15,7 @@ row combinations (`MatrixGF.mul_vec`).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -148,6 +149,22 @@ class DecodeOutcome:
         return cls("corrected", codeword=codeword, error_vector=err,
                    error_positions=tuple(i for i, e in enumerate(err) if e),
                    info=info)
+
+
+def own_decoders(*names):
+    """Class decorator: notes the decoders `names` that a batch codec reproduces."""
+    def note(cls):
+        cls._own_decoders = {name: vars(cls)[name] for name in names}
+        return cls
+    return note
+
+
+def runs_own_decoders(code, cls) -> bool:
+    """The trust rule of every batch codec: `code` is a `cls`, not a
+    subclass, and neither the class nor the object has replaced a decoder
+    noted by `own_decoders`."""
+    return type(code) is cls and all(vars(cls).get(name) is fn and name not in vars(code)
+                                     for name, fn in cls._own_decoders.items())
 
 
 class MatrixGF:
@@ -389,6 +406,10 @@ class LinearCode:
         if self._array is None:
             self._array = StandardArray(self)
         return self._array.decode(as_received(word, erasures))
+
+    def batch_codec(self):
+        """None: complete decoding runs once per trial."""
+        return None
 
     def pivot_inverse(self):
         """(pivots, inv): the pivot columns of G, and the inverse of G
@@ -645,6 +666,60 @@ class StandardArray:
         return DecodeOutcome.correction(
             f, w.symbols, codeword, self.code._message_of(codeword)
         )
+
+
+class ArrayCodec:
+    """The batch codec of a binary standard array: coset-leader decoding
+    of the rows of a numpy array by syndrome -> leader and syndrome ->
+    verdict tables.  It rejects the words of `detect_rows` and those a
+    radius array leaves without a leader.  It holds numpy tables, not the
+    code.  uint8 products wrap mod 256, which keeps their parity."""
+
+    def __init__(self, array: StandardArray, detect_rows=()):
+        import numpy as np
+
+        code = array.code
+        if code.field.q != 2:
+            raise TooLarge("the standard-array codec supports binary codes only")
+        n, k = code.n, code.k
+        self.G = np.array(code.G.rows, dtype=np.uint8)
+        self.Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
+        self.weights = 1 << np.arange(n - k - 1, -1, -1)   # syndrome bits -> index
+        index = (np.array(array.leaders) @ self.Ht & 1) @ self.weights
+        self.leader = np.zeros((1 << (n - k), n), dtype=np.uint8)
+        self.ok = np.zeros(1 << (n - k), dtype=bool)
+        self.leader[index], self.ok[index] = array.leaders, True
+        detect = index[list(detect_rows)]
+        self.ok[detect], self.leader[detect] = False, 0
+        pivots, inv = code.pivot_inverse()
+        self.pivots, self.inv = list(pivots), np.array(inv.rows, dtype=np.uint8)
+
+    def encode(self, messages):
+        return messages @ self.G & 1
+
+    def decode(self, words):
+        """(ok, codewords), as `RSCode.decode_batch` returns them."""
+        syndrome = (words @ self.Ht & 1) @ self.weights
+        return self.ok[syndrome], words ^ self.leader[syndrome]
+
+    def info(self, codewords):
+        return codewords[:, self.pivots] @ self.inv & 1
+
+
+_RADIUS_CODECS = weakref.WeakKeyDictionary()
+
+
+def radius_codec(code):
+    """The batch codec of a binary code's own bounded-distance `decode`:
+    the ArrayCodec of its `linear_view` cut at its radius, built on the
+    first call and kept per code; None over a larger alphabet or beyond
+    MAX_ARRAY_VECTORS."""
+    codec = _RADIUS_CODECS.get(code)
+    n, k = code.n, code.k
+    if codec is None and code.subfield == {0, 1} and 2 ** (n - k) * n <= MAX_ARRAY_VECTORS:
+        codec = _RADIUS_CODECS[code] = ArrayCodec(StandardArray(linear_view(code),
+                                                                code.radius))
+    return codec
 
 
 def ml_decode(code: LinearCode, word):

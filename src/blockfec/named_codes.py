@@ -11,11 +11,13 @@ from __future__ import annotations
 from .errors import InvalidParams, TooLarge
 from .galois import GF
 from .linear import (MAX_HAMMING_R, DecodeOutcome, LinearCode, MatrixGF,
-                     as_received, check_word, received)
+                     as_received, check_word, own_decoders, radius_codec, received,
+                     runs_own_decoders)
 
 _GF2 = GF(2)
 
 
+@own_decoders("decode")
 class HammingCode:
     """[2^r - 1, 2^r - r - 1, 3] code whose parity columns count in
     binary, so a syndrome read as a number is the 1-based error
@@ -51,6 +53,10 @@ class HammingCode:
         return DecodeOutcome.correction(
             _GF2, w.symbols, fixed, self.code._message_of(fixed)
         )
+
+    def batch_codec(self):
+        """`radius_codec`, unless a subclass or a patch replaced `decode`."""
+        return radius_codec(self) if runs_own_decoders(self, HammingCode) else None
 
 
 # The 11x12 block of the Golay parity-check matrix.
@@ -106,6 +112,7 @@ _H1_MASKS = [_Q_MASKS[i] | (1 << (12 + i)) for i in range(12)]
 _H2_MASKS = [(1 << i) | (_QT_MASKS[i] << 12) for i in range(12)]
 
 
+@own_decoders("decode")
 class GolayCode:
     """The perfect [23,12,7] code or its self-dual [24,12,8] extension."""
 
@@ -144,6 +151,10 @@ class GolayCode:
         if self.variant == "G24":
             return golay24_decode(word)
         return golay23_decode(word)
+
+    def batch_codec(self):
+        """`radius_codec`, unless a subclass or a patch replaced `decode`."""
+        return radius_codec(self) if runs_own_decoders(self, GolayCode) else None
 
 
 def _syndrome(mask, rows):

@@ -58,10 +58,9 @@ the same log matrices, copied on first use and cut to the transmitted
 positions, gathers through the numpy backend's kernel, and solves the
 key equation by inversionless Berlekamp-Massey in lockstep.  Its
 verdicts and codewords are those of `decode` with either solver (see
-`BatchCoder` for why), so `channel.monte_carlo` runs an RS code's own
-`decode` through it, unless a subclass or a patch has replaced a
-public decoder.  It imports numpy when first used, as the gathered
-backend does.
+`BatchCoder` for why), so it is the code's `batch_codec`, on which
+`channel.monte_carlo` runs the code's own `decode`.  It imports numpy
+when first used, as the gathered backend does.
 """
 
 from __future__ import annotations
@@ -77,7 +76,9 @@ from .linear import (
     ReceivedWord,
     _solve_square,
     check_word,
+    own_decoders,
     received,
+    runs_own_decoders,
 )
 from .poly import Poly
 
@@ -115,6 +116,7 @@ class KeyEquationState:
         return self.sigma * self.sigma2
 
 
+@own_decoders("decode", "pgz_decode", "euclid_decode")
 class RSCode:
     """[n, k] Reed-Solomon code over GF(q) with n | q - 1, root offset
     m0, and optional shortening by `shorten_by` information symbols.
@@ -368,13 +370,11 @@ class RSCode:
         either solver."""
         return self._batch.decode(words)
 
-    def _batch_is_decode(self) -> bool:
-        """Whether `decode_batch` gives this code's `decode`: over GF(2^m),
-        and with the public decoders defined here, not ones a subclass or
-        a patch of the class or the object put in their place."""
-        return self.field.p == 2 and all(
-            getattr(getattr(self, name), "__func__", None) is fn
-            for name, fn in _SCALAR_DECODERS.items())
+    def batch_codec(self):
+        """The `BatchCoder` over GF(2^m), unless a subclass or a patch
+        replaced `decode`, `pgz_decode` or `euclid_decode`."""
+        own = self.field.p == 2 and runs_own_decoders(self, RSCode)
+        return self._batch if own else None
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
         f = self.field
@@ -426,12 +426,6 @@ class RSCode:
         r, tpoly, _ = euclid_key_equation(self.field, nk, s_hat, threshold)
         lam = self.field.inv(tpoly.lc)
         return tpoly.scale(lam), -r.scale(lam)
-
-
-# the public decoders as defined here: `BatchCoder` reproduces them, and
-# `channel.monte_carlo` calls a replaced one once per trial
-_SCALAR_DECODERS = {name: vars(RSCode)[name]
-                    for name in ("decode", "pgz_decode", "euclid_decode")}
 
 
 def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
@@ -548,6 +542,9 @@ class BatchCoder:
                 ok[rows] = good
                 out[rows] ^= errors
         return ok, out
+
+    def info(self, codewords):
+        return codewords[:, :self.k]
 
     def _errors(self, S):
         """(ok, error values) of the words with the nonzero syndromes S;

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from blockfec import (
+    BCHCode,
     GolayCode,
     HammingCode,
     LinearCode,
@@ -22,11 +23,10 @@ from blockfec import (
     perr_first_term,
     round_to_places,
 )
-from blockfec import channel
 from blockfec.codespec import build
 from blockfec.errors import TooLarge
 from blockfec.galois import FiniteField
-from blockfec.linear import DecodeOutcome
+from blockfec.linear import DecodeOutcome, as_received
 from blockfec.reed_solomon import RSCode
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
@@ -327,7 +327,7 @@ def test_own_decoder_takes_the_radius_array_kernel(name, p):
     assert p < 0.1 or scalar["P_err_hat"] + scalar["P_det_hat"] > 0
     for code in (built, bare):
         assert monte_carlo(code, code.decode, p, 70_000, seed=5) == scalar
-        assert code in channel._RADIUS_KERNELS
+        assert code.batch_codec() is not None
 
 
 # -- a GF(2^m) RS code's own decoder on the batch kernel ------------------------
@@ -351,7 +351,7 @@ def test_own_rs_decoder_takes_the_batch_kernel(name, p):
     assert p < 0.3 or scalar["P_err_hat"] > 0 and scalar["P_det_hat"] > 0
     for code in (built, bare):
         assert monte_carlo(code, code.decode, p, trials, seed=9) == scalar
-        assert code in channel._RS_KERNELS
+        assert code.batch_codec() is not None
 
 
 def test_rs255_batch_kernel_equals_the_loop():
@@ -368,12 +368,14 @@ def test_other_decoders_of_rs_codes_stay_on_the_loop():
     monte_carlo(odd, odd.decode, 0.1, 200, seed=1)
     bch = build(f"bch:field={GF16},sub=4,d=5").code
     monte_carlo(bch, bch.decode, 0.1, 200, seed=1)
-    assert not {rs, odd, bch, bch.rs} & set(channel._RS_KERNELS)
+    assert rs.pgz_decode != rs.decode
+    assert odd.batch_codec() is None and bch.batch_codec() is None
 
 
 def returns_received(self, word, erasures=()):
     """A planted bad decoder: every word "corrected" as received."""
-    return DecodeOutcome("corrected", codeword=tuple(word), info=tuple(word[:self.k_out]))
+    word = as_received(word).symbols
+    return DecodeOutcome("corrected", codeword=word, info=word[:self.k])
 
 
 def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch):
@@ -393,17 +395,62 @@ def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch):
         scalar = monte_carlo(code, lambda w: code.decode(w), 0.05, 1000, seed=4)
         assert scalar["P_err_hat"] > 0
         assert monte_carlo(code, code.decode, 0.05, 1000, seed=4) == scalar
-        assert code not in channel._RS_KERNELS
+        assert code.batch_codec() is None
 
 
-def test_rs_kernel_cache_does_not_keep_the_code_alive():
-    rs = build("rs:field=GF(2^3)[1,1,0,1],n=7,k=5").code
-    monte_carlo(rs, rs.decode, 0.1, 100, seed=1)
-    assert rs in channel._RS_KERNELS
-    code = weakref.ref(rs)
-    del rs
+# a Golay24, Hamming(15,11) and BCH(15,5) code built by its family class
+BINARY_FAMILIES = {
+    "golay24": (GolayCode, ("G24",)),
+    "hamming15": (HammingCode, (4,)),
+    "bch15_5": (BCHCode, (FiniteField(2, 4, (1, 1, 0, 0, 1)), 2, 7)),
+}
+# how the bad decoder is planted: in `decode` by a subclass, on the
+# object or on the class, or in the RS decoder that BCH's `decode` calls
+PLANTS = [(name, how) for name in BINARY_FAMILIES for how in ("subclass", "object", "class")]
+PLANTS += [("bch15_5", "rs_object"), ("bch15_5", "rs_class")]
+# P_err_hat of the planted decoder at p = 0.05, 2000 trials, seed 1
+PLANTED_P_ERR = {"golay24": 0.4635, "hamming15": 0.6995, "bch15_5": 0.2335}
+
+
+@pytest.mark.parametrize("name,how", PLANTS)
+def test_replaced_decoders_of_binary_codes_stay_on_the_loop(name, how, monkeypatch):
+    # the radius array reproduces the family's own decoder, so a code
+    # whose decoder was replaced is called once per trial, and a bad one
+    # shows as errors
+    cls, args = BINARY_FAMILIES[name]
+    honest = cls(*args)
+    own = monte_carlo(honest, honest.decode, 0.05, 2000, seed=1)
+    if how == "subclass":
+        code = type("Received", (cls,), {"decode": returns_received})(*args)
+    else:
+        code = cls(*args)
+        target = code.rs if how == "rs_object" else code
+        if how in ("object", "rs_object"):
+            monkeypatch.setattr(target, "decode", types.MethodType(returns_received, target))
+        else:
+            monkeypatch.setattr(*{"class": (cls, "decode"),
+                                  "rs_class": (RSCode, "euclid_decode")}[how],
+                                returns_received)
+    loop = monte_carlo(code, lambda w: code.decode(w), 0.05, 2000, seed=1)
+    assert monte_carlo(code, code.decode, 0.05, 2000, seed=1) == loop
+    assert loop["P_err_hat"] == PLANTED_P_ERR[name] > own["P_err_hat"]
+    assert code.batch_codec() is None
+
+
+CODEC_SPECS = {"rs7_5": RS_SPECS["rs7_5"], "golay24": "golay24",
+               "bch15_5": RADIUS_SPECS["bch15_5"], "golay24_built": "golay24"}
+
+
+@pytest.mark.parametrize("name", CODEC_SPECS)
+def test_codec_cache_does_not_keep_the_code_alive(name):
+    built = build(CODEC_SPECS[name])
+    code = built if name.endswith("_built") else built.code
+    monte_carlo(code, code.decode, 0.1, 100, seed=1)
+    assert code.batch_codec() is not None
+    refs = [weakref.ref(built), weakref.ref(built.code)]
+    del built, code
     gc.collect()
-    assert code() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_radius_array_detect_policy_and_events():

@@ -155,6 +155,16 @@ def test_as_product_inner(name):
     _product_trials(ch, wrecked_rows=1, row_errors=t)
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_batch_codec_exactly_with_a_radius(name):
+    # a codec reproduces a bounded-distance decoder, so a family has one
+    # exactly when it shows a radius, and it gives the loop's results
+    built = build(CASES[name][0])
+    assert (built.batch_codec() is None) == (RADIUS[name] is None)
+    loop = monte_carlo(built, lambda w: built.decode(w), 0.05, 1000, seed=6)
+    assert monte_carlo(built, built.decode, 0.05, 1000, seed=6) == loop
+
+
 def test_monte_carlo_raw_shortened_rs():
     rs = RSCode(FiniteField(2, 4), 15, 9, shorten_by=5)
     assert (rs.n, rs.k) == (10, 4)

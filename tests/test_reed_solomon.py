@@ -1161,3 +1161,20 @@ def test_reed_solomon_imports_numpy_only_inside_functions():
     names = [alias.name for node in top for alias in node.names]
     names += [node.module or "" for node in top if isinstance(node, ast.ImportFrom)]
     assert names and not any(name.split(".")[0] == "numpy" for name in names)
+
+
+def test_monte_carlo_reaches_families_only_through_batch_codec():
+    # `channel` imports no family, so it cannot grow a branch per family,
+    # and no module probes an object for an attribute
+    package = Path(reed_solomon.__file__).parent
+    channel = ast.parse((package / "channel.py").read_text())
+    imported = {alias.name for node in ast.walk(channel)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    families = {"RSCode", "GolayCode", "HammingCode", "BCHCode", "InterleavedCode",
+                "SerialProduct"}
+    assert imported and not imported & families
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "hasattr", path.name
+                assert not (node.func.id == "getattr" and len(node.args) == 3), path.name
