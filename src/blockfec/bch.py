@@ -58,8 +58,7 @@ class BCHCode(CyclicCode):
         return replace(out, info=out.codeword[: self.k])
 
     def batch_codec(self):
-        """`radius_codec`, unless a subclass or a patch replaced `decode`
-        or a decoder of `rs`."""
+        """`radius_codec` if `runs_own_decoders` holds for this code and its `rs`."""
         own = runs_own_decoders(self, BCHCode) and runs_own_decoders(self.rs, RSCode)
         return radius_codec(self) if own else None
 

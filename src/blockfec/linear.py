@@ -340,6 +340,7 @@ def parity_from_generator(G_sys: MatrixGF) -> MatrixGF:
     return MatrixGF(f, vt).hstack(MatrixGF.identity(f, n - k))
 
 
+@own_decoders("_message_of")
 class LinearCode:
     """An [n, k] linear code given by generator and parity matrices."""
 

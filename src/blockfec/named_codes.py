@@ -55,8 +55,9 @@ class HammingCode:
         )
 
     def batch_codec(self):
-        """`radius_codec`, unless a subclass or a patch replaced `decode`."""
-        return radius_codec(self) if runs_own_decoders(self, HammingCode) else None
+        """`radius_codec` if `runs_own_decoders` holds for this code and its `code`."""
+        own = runs_own_decoders(self, HammingCode) and runs_own_decoders(self.code, LinearCode)
+        return radius_codec(self) if own else None
 
 
 # The 11x12 block of the Golay parity-check matrix.

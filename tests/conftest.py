@@ -30,3 +30,19 @@ def gf11():
 
 def bits(s: str):
     return tuple(int(c) for c in s if c in "01")
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """The batches that a batch codec decoded, one class name each: empty
+    after a `monte_carlo` call that ran its decoder on the per-trial loop."""
+    from blockfec.linear import ArrayCodec
+    from blockfec.reed_solomon import BatchCoder
+
+    calls = []
+    for cls in (ArrayCodec, BatchCoder):
+        def counted(self, words, decode=cls.decode):
+            calls.append(type(self).__name__)
+            return decode(self, words)
+        monkeypatch.setattr(cls, "decode", counted)
+    return calls

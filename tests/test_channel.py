@@ -26,7 +26,7 @@ from blockfec import (
 from blockfec.codespec import build
 from blockfec.errors import TooLarge
 from blockfec.galois import FiniteField
-from blockfec.linear import DecodeOutcome, as_received
+from blockfec.linear import _RADIUS_CODECS, DecodeOutcome, as_received
 from blockfec.reed_solomon import RSCode
 
 H5 = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 0, 0, 1]]
@@ -317,17 +317,19 @@ RADIUS_SPECS = {
 
 @pytest.mark.parametrize("p", [0.01, 0.1])
 @pytest.mark.parametrize("name", RADIUS_SPECS)
-def test_own_decoder_takes_the_radius_array_kernel(name, p):
+def test_own_decoder_takes_the_radius_array_kernel(name, p, codec_calls):
     # a wrapped decode is not the code's own, so it is called once per
     # trial: the scalar oracle.  70 000 trials span two Philox batches.
     built = build(RADIUS_SPECS[name])
     bare = built.code
     scalar = monte_carlo(bare, lambda w: bare.decode(w), p, 70_000, seed=5)
+    assert not codec_calls
     # BCH(15,5) at p = 0.01 meets about one word beyond its radius
     assert p < 0.1 or scalar["P_err_hat"] + scalar["P_det_hat"] > 0
     for code in (built, bare):
+        codec_calls.clear()
         assert monte_carlo(code, code.decode, p, 70_000, seed=5) == scalar
-        assert code.batch_codec() is not None
+        assert codec_calls == ["ArrayCodec"] * 2
 
 
 # -- a GF(2^m) RS code's own decoder on the batch kernel ------------------------
@@ -341,17 +343,19 @@ RS_SPECS = {
 
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.5])
 @pytest.mark.parametrize("name", RS_SPECS)
-def test_own_rs_decoder_takes_the_batch_kernel(name, p):
+def test_own_rs_decoder_takes_the_batch_kernel(name, p, codec_calls):
     # the wrapped decode is the scalar oracle; 70 000 trials span two
     # Philox batches
     built = build(RS_SPECS[name])
     bare = built.code
     trials = 70_000 if (name, p) == ("rs7_5", 0.05) else 2_000
     scalar = monte_carlo(bare, lambda w: bare.decode(w), p, trials, seed=9)
+    assert not codec_calls
     assert p < 0.3 or scalar["P_err_hat"] > 0 and scalar["P_det_hat"] > 0
     for code in (built, bare):
+        codec_calls.clear()
         assert monte_carlo(code, code.decode, p, trials, seed=9) == scalar
-        assert code.batch_codec() is not None
+        assert codec_calls and set(codec_calls) == {"BatchCoder"}
 
 
 def test_rs255_batch_kernel_equals_the_loop():
@@ -361,15 +365,14 @@ def test_rs255_batch_kernel_equals_the_loop():
     assert monte_carlo(rs, rs.decode, 0.07, 300, seed=2) == scalar
 
 
-def test_other_decoders_of_rs_codes_stay_on_the_loop():
+def test_other_decoders_of_rs_codes_stay_on_the_loop(codec_calls):
     rs = build("rs:field=GF(2^3)[1,1,0,1],n=7,k=5").code
     monte_carlo(rs, rs.pgz_decode, 0.1, 200, seed=1)
     odd = build("rs:field=GF(3^2),n=8,k=4").code
     monte_carlo(odd, odd.decode, 0.1, 200, seed=1)
     bch = build(f"bch:field={GF16},sub=4,d=5").code
     monte_carlo(bch, bch.decode, 0.1, 200, seed=1)
-    assert rs.pgz_decode != rs.decode
-    assert odd.batch_codec() is None and bch.batch_codec() is None
+    assert not codec_calls
 
 
 def returns_received(self, word, erasures=()):
@@ -378,7 +381,7 @@ def returns_received(self, word, erasures=()):
     return DecodeOutcome("corrected", codeword=word, info=word[:self.k])
 
 
-def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch):
+def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch, codec_calls):
     # the batch kernel reproduces RSCode's own decoders, so a code whose
     # solver a subclass or a patch replaced is called once per trial, and
     # a bad one shows as errors
@@ -395,7 +398,7 @@ def test_replaced_rs_decoders_stay_on_the_loop(monkeypatch):
         scalar = monte_carlo(code, lambda w: code.decode(w), 0.05, 1000, seed=4)
         assert scalar["P_err_hat"] > 0
         assert monte_carlo(code, code.decode, 0.05, 1000, seed=4) == scalar
-        assert code.batch_codec() is None
+        assert not codec_calls
 
 
 # a Golay24, Hamming(15,11) and BCH(15,5) code built by its family class
@@ -404,37 +407,58 @@ BINARY_FAMILIES = {
     "hamming15": (HammingCode, (4,)),
     "bch15_5": (BCHCode, (FiniteField(2, 4, (1, 1, 0, 0, 1)), 2, 7)),
 }
+
+
+def reads_first_k(self, codeword):
+    """A planted bad message read: the first k symbols of a codeword."""
+    return tuple(codeword[:self.k])
+
+
+# a part that a code's `decode` calls: the attribute that holds it, the
+# method planted on that object, the class method planted in its place
+# and the plant.  BCH calls its RS code's decoder, Hamming the message
+# read of its linear code.
+PARTS = {"bch15_5": ("rs", "decode", RSCode, "euclid_decode", returns_received),
+         "hamming15": ("code", "_message_of", LinearCode, "_message_of", reads_first_k)}
 # how the bad decoder is planted: in `decode` by a subclass, on the
-# object or on the class, or in the RS decoder that BCH's `decode` calls
+# object or on the class, or in a part on its object or its class
 PLANTS = [(name, how) for name in BINARY_FAMILIES for how in ("subclass", "object", "class")]
-PLANTS += [("bch15_5", "rs_object"), ("bch15_5", "rs_class")]
+PLANTS += [(name, how) for name in PARTS for how in ("part_object", "part_class")]
 # P_err_hat of the planted decoder at p = 0.05, 2000 trials, seed 1
-PLANTED_P_ERR = {"golay24": 0.4635, "hamming15": 0.6995, "bch15_5": 0.2335}
+PLANTED_P_ERR = {"golay24": 0.4635, "hamming15": 0.6995, "bch15_5": 0.2335,
+                 ("hamming15", "part"): 0.5905}
 
 
 @pytest.mark.parametrize("name,how", PLANTS)
-def test_replaced_decoders_of_binary_codes_stay_on_the_loop(name, how, monkeypatch):
+def test_replaced_decoders_of_binary_codes_stay_on_the_loop(name, how, monkeypatch,
+                                                            codec_calls):
     # the radius array reproduces the family's own decoder, so a code
     # whose decoder was replaced is called once per trial, and a bad one
     # shows as errors
     cls, args = BINARY_FAMILIES[name]
     honest = cls(*args)
     own = monte_carlo(honest, honest.decode, 0.05, 2000, seed=1)
+    assert codec_calls
+    code = cls(*args)
     if how == "subclass":
         code = type("Received", (cls,), {"decode": returns_received})(*args)
+    elif how == "object":
+        monkeypatch.setattr(code, "decode", types.MethodType(returns_received, code))
+    elif how == "class":
+        monkeypatch.setattr(cls, "decode", returns_received)
     else:
-        code = cls(*args)
-        target = code.rs if how == "rs_object" else code
-        if how in ("object", "rs_object"):
-            monkeypatch.setattr(target, "decode", types.MethodType(returns_received, target))
+        part, method, part_cls, class_method, plant = PARTS[name]
+        target = getattr(code, part)
+        if how == "part_object":
+            monkeypatch.setattr(target, method, types.MethodType(plant, target))
         else:
-            monkeypatch.setattr(*{"class": (cls, "decode"),
-                                  "rs_class": (RSCode, "euclid_decode")}[how],
-                                returns_received)
+            monkeypatch.setattr(part_cls, class_method, plant)
+    codec_calls.clear()
     loop = monte_carlo(code, lambda w: code.decode(w), 0.05, 2000, seed=1)
     assert monte_carlo(code, code.decode, 0.05, 2000, seed=1) == loop
-    assert loop["P_err_hat"] == PLANTED_P_ERR[name] > own["P_err_hat"]
-    assert code.batch_codec() is None
+    assert not codec_calls
+    planted = PLANTED_P_ERR.get((name, how[:4]), PLANTED_P_ERR[name])
+    assert loop["P_err_hat"] == planted > own["P_err_hat"]
 
 
 CODEC_SPECS = {"rs7_5": RS_SPECS["rs7_5"], "golay24": "golay24",
@@ -442,11 +466,13 @@ CODEC_SPECS = {"rs7_5": RS_SPECS["rs7_5"], "golay24": "golay24",
 
 
 @pytest.mark.parametrize("name", CODEC_SPECS)
-def test_codec_cache_does_not_keep_the_code_alive(name):
+def test_codec_cache_does_not_keep_the_code_alive(name, codec_calls):
     built = build(CODEC_SPECS[name])
     code = built if name.endswith("_built") else built.code
     monte_carlo(code, code.decode, 0.1, 100, seed=1)
-    assert code.batch_codec() is not None
+    # the codec ran and is cached: on the RS code, or in the radius cache
+    assert codec_calls
+    assert "_batch" in vars(built.code) or built.code in _RADIUS_CODECS
     refs = [weakref.ref(built), weakref.ref(built.code)]
     del built, code
     gc.collect()

@@ -156,13 +156,16 @@ def test_as_product_inner(name):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_batch_codec_exactly_with_a_radius(name):
+def test_batch_codec_exactly_with_a_radius(name, codec_calls):
     # a codec reproduces a bounded-distance decoder, so a family has one
-    # exactly when it shows a radius, and it gives the loop's results
+    # exactly when it shows a radius, and its own decoder runs on it with
+    # the loop's results
     built = build(CASES[name][0])
     assert (built.batch_codec() is None) == (RADIUS[name] is None)
     loop = monte_carlo(built, lambda w: built.decode(w), 0.05, 1000, seed=6)
+    assert not codec_calls
     assert monte_carlo(built, built.decode, 0.05, 1000, seed=6) == loop
+    assert bool(codec_calls) == (RADIUS[name] is not None)
 
 
 def test_monte_carlo_raw_shortened_rs():
