@@ -6,17 +6,24 @@ cyclically consecutive positions with nonzero first and last entries.
 Interleaving to depth m spreads any burst of up to m symbols across m
 independent codewords; a product code adds a second decoding dimension
 whose erasure capability mops up rows the inner code gives up on.
+
+A composite checks its word once, at its own intake.  Every word it
+hands a part is a `linear._CheckedWord` built from those checked symbols,
+or from the parts' codewords over the alphabet they share, with the
+erased symbols zeroed, and the part's intake takes it as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Integral
 
 from .errors import InvalidParams, InvalidSpan, LengthMismatch, TooLarge
 from .linear import (
-    NO_ERASURES, DecodeOutcome, ReceivedWord, as_received, check_word, received,
+    NO_ERASURES, DecodeOutcome, ReceivedWord, _CheckedWord, as_received, check_word,
+    received,
 )
 
 
@@ -111,10 +118,10 @@ class InterleavedCode:
         m = self.depth
         outcomes = []
         for j in range(m):
-            # erased symbols are zero already: a column is a ReceivedWord
+            # erased symbols are zero already: a column is a checked word
             erased = (frozenset(p // m for p in w.erasures if p % m == j)
                       or NO_ERASURES)
-            out = self.base.decode(ReceivedWord(w.symbols[j::m], erased))
+            out = self.base.decode(_CheckedWord(w.symbols[j::m], erased))
             if not out.corrected:
                 return DecodeOutcome.failure()
             outcomes.append(out)
@@ -131,7 +138,7 @@ class InterleavedCode:
 
 def _interleave(columns) -> tuple:
     """Read equal-length columns out in row order."""
-    return tuple(x for row in zip(*columns) for x in row)
+    return tuple(chain.from_iterable(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ class ProductCode:
         return tuple(zip(*cols))
 
     def serialize(self, array):
-        return tuple(x for row in array for x in row)
+        return tuple(chain.from_iterable(array))
 
     def deserialize(self, word):
         word = tuple(word)
@@ -202,37 +209,41 @@ class ProductCode:
         """Stage 1 decodes the rows, each with its share of the row-order
         `erasures`, and erases those it gives up on; stage 2 decodes the
         columns with those erasures.  Rows stage 2 filled in or changed are
-        rechecked by the inner decoder, so only product codewords are emitted."""
-        rows = [tuple(r) for r in array]
-        if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
-            raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
-        return self._decode_received(as_received(self.serialize(rows), erasures),
-                                     policy)
-
-    def _decode_received(self, word: ReceivedWord, policy) -> DecodeOutcome:
-        """`decode` of the length-n row-order `word`."""
+        rechecked by the inner decoder, so only product codewords are emitted.
+        `array` may also be the row-order word as a ReceivedWord, as a
+        SerialProduct hands it."""
+        if not isinstance(array, ReceivedWord):
+            rows = [tuple(r) for r in array]
+            if len(rows) != self.n1 or any(len(r) != self.n2 for r in rows):
+                raise LengthMismatch(f"array must be {self.n1} x {self.n2}")
+            array = self.serialize(rows)
+        word = received(self, array, erasures)
+        n2 = self.n2
         rows = list(self.deserialize(word.symbols))
 
         # stage 1: inner decoding; failures erase the whole row
         row_outs = []     # the inner outcome of each row, None if erased
         erased_rows = []
         for i, row in enumerate(rows):
-            erased = [p % self.n2 for p in word.erasures if p // self.n2 == i]
-            out = self.inner.decode(row, erased)
+            erased = (frozenset(p - i * n2 for p in word.erasures if p // n2 == i)
+                      or NO_ERASURES)
+            out = self.inner.decode(_CheckedWord(row, erased))
             bad = not out.corrected
             if not bad and policy.max_inner_errors is not None:
                 bad = len(out.error_positions) > policy.max_inner_errors
             if bad:
                 erased_rows.append(i)
                 row_outs.append(None)
+                rows[i] = (0,) * n2
             else:
                 rows[i] = out.codeword
                 row_outs.append(out)
 
-        # stage 2: outer error-erasure decoding per column
+        # stage 2: outer error-erasure decoding per column, erased rows zeroed
         col_outs = []
+        erased = frozenset(erased_rows) or NO_ERASURES
         for col in zip(*rows):
-            out = self.outer.decode(col, erased_rows)
+            out = self.outer.decode(_CheckedWord(col, erased))
             if not out.corrected:
                 return DecodeOutcome.failure()
             col_outs.append(out)
@@ -245,7 +256,7 @@ class ProductCode:
         for i, row in enumerate(result):
             if row_outs[i] is not None and row == row_outs[i].codeword:
                 continue
-            out = self.inner.decode(row)
+            out = self.inner.decode(_CheckedWord(row))
             if not out.corrected:
                 return DecodeOutcome.failure()
             if out.codeword != row:
@@ -257,7 +268,7 @@ class ProductCode:
             row_outs[i] = out
         for j in touched:
             col = tuple(row[j] for row in result)
-            out = self.outer.decode(col)
+            out = self.outer.decode(_CheckedWord(col))
             if not out.corrected or out.codeword != col:
                 return DecodeOutcome.failure()
             col_outs[j] = out
@@ -266,7 +277,7 @@ class ProductCode:
         # for a systematic outer code they are the first k1 rows
         info = []
         for i, a in enumerate(zip(*(out.info for out in col_outs))):
-            out = row_outs[i] if a == result[i] else self.inner.decode(a)
+            out = row_outs[i] if a == result[i] else self.inner.decode(_CheckedWord(a))
             info.extend(out.info)
         return DecodeOutcome.correction(
             self.field, word.symbols, self.serialize(result), tuple(info)
@@ -290,8 +301,7 @@ class SerialProduct:
         return p.serialize(p.encode([u[i * p.k2:(i + 1) * p.k2] for i in range(p.k1)]))
 
     def decode(self, word, erasures=()) -> DecodeOutcome:
-        return self.product._decode_received(received(self, word, erasures),
-                                             self.policy)
+        return self.product.decode(as_received(word, erasures), self.policy)
 
     def batch_codec(self):
         """None: a product runs once per trial."""

@@ -25,6 +25,9 @@ distance t of the word when there is one and detect every other word,
 and that codeword is unique because 2t < d.  So a codec and the decoder
 give the same verdict and codeword on every word, and `monte_carlo` the
 same result dict bit for bit.
+
+numpy is imported inside `monte_carlo`, so importing the package, or
+`blockfec.cli`, does not load it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-
-import numpy as np
 
 from .linear import ArrayCodec, LinearCode, StandardArray, _in_alphabet, hamming_weight
 
@@ -206,6 +207,8 @@ def monte_carlo(
     DecodeOutcome is called once per trial.  Rejected words and
     uncorrectable verdicts count as detections.
     """
+    import numpy as np
+
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if not isinstance(trials, Integral) or trials < 1:

@@ -111,10 +111,21 @@ def check_word(symbols, n: int, alphabet):
     return symbols
 
 
+class _CheckedWord(ReceivedWord):
+    """A word that a composite code hands one of its parts.  It is built
+    from symbols the composite's own intake checked, or from the parts'
+    codewords over the alphabet they share, with the erased symbols
+    zeroed, so `received` passes it through.  Only composites build one."""
+
+
 def received(code, word, erasures=()) -> ReceivedWord:
     """The decode intake: `word` with `erasures` as a ReceivedWord,
     checked against `code.n` and `code.subfield`.  Erased symbols are
-    zeroed before the check, so they are never checked."""
+    zeroed before the check, so they are never checked.  A composite's
+    `_CheckedWord` without further erasures is taken as it is; every
+    other word, a ReceivedWord included, is checked."""
+    if type(word) is _CheckedWord and not erasures:
+        return word
     w = as_received(word, erasures)
     check_word(w.symbols, code.n, code.subfield)
     return w
@@ -151,20 +162,25 @@ class DecodeOutcome:
                    info=info)
 
 
-def own_decoders(*names):
-    """Class decorator: notes the decoders `names` that a batch codec reproduces."""
+def own_decoders(*names, calls=()):
+    """Class decorator: notes what a batch codec reproduces, the methods
+    `names` that `decode` reaches and the module functions it `calls`."""
     def note(cls):
         cls._own_decoders = {name: vars(cls)[name] for name in names}
+        cls._own_calls = calls
         return cls
     return note
 
 
 def runs_own_decoders(code, cls) -> bool:
     """The trust rule of every batch codec: `code` is a `cls`, not a
-    subclass, and neither the class nor the object has replaced a decoder
-    noted by `own_decoders`."""
-    return type(code) is cls and all(vars(cls).get(name) is fn and name not in vars(code)
-                                     for name, fn in cls._own_decoders.items())
+    subclass, neither the class nor the object has replaced a method
+    noted by `own_decoders`, and no module has replaced a function it
+    notes (each is looked up in its own module's namespace)."""
+    return (type(code) is cls
+            and all(vars(cls).get(name) is fn and name not in vars(code)
+                    for name, fn in cls._own_decoders.items())
+            and all(fn.__globals__.get(fn.__name__) is fn for fn in cls._own_calls))
 
 
 class MatrixGF:

@@ -113,51 +113,6 @@ _H1_MASKS = [_Q_MASKS[i] | (1 << (12 + i)) for i in range(12)]
 _H2_MASKS = [(1 << i) | (_QT_MASKS[i] << 12) for i in range(12)]
 
 
-@own_decoders("decode")
-class GolayCode:
-    """The perfect [23,12,7] code or its self-dual [24,12,8] extension."""
-
-    def __init__(self, variant: str = "G23"):
-        if variant not in ("G23", "G24"):
-            raise InvalidParams(f"variant must be 'G23' or 'G24', got {variant!r}")
-        self.variant = variant
-        self.field = _GF2
-        self.subfield = _GF2.alphabet
-        self.radius = 3
-        self.P = MatrixGF(_GF2, _P)
-        self.Q = MatrixGF(_GF2, _Q)
-        self.H1 = MatrixGF(_GF2, [r + e for r, e in
-                                  zip(_Q, MatrixGF.identity(_GF2, 12).rows)])
-        self.H2 = MatrixGF(_GF2, [e + r for e, r in
-                                  zip(MatrixGF.identity(_GF2, 12).rows, _QT)])
-        if variant == "G24":
-            # self-dual: H1 is both parity-check and generator; H2 is
-            # the systematic generator used for encoding
-            self.code = LinearCode(_GF2, self.H2, self.H1)
-            self.n, self.k = 24, 12
-        else:
-            H = MatrixGF(_GF2, [p + e for p, e in
-                                zip(_P, MatrixGF.identity(_GF2, 11).rows)])
-            self.code = LinearCode.from_parity(_GF2, H)
-            self.n, self.k = 23, 12
-
-    def encode(self, u):
-        word24 = self.H2.mul_vec(check_word(tuple(u), self.k, self.subfield))
-        return word24 if self.variant == "G24" else word24[:23]
-
-    def decode(self, word, erasures=()) -> DecodeOutcome:
-        """Erased symbols are read as zeros; the public decoders below
-        check the word."""
-        word = as_received(word, erasures).symbols
-        if self.variant == "G24":
-            return golay24_decode(word)
-        return golay23_decode(word)
-
-    def batch_codec(self):
-        """`radius_codec`, unless a subclass or a patch replaced `decode`."""
-        return radius_codec(self) if runs_own_decoders(self, GolayCode) else None
-
-
 def _syndrome(mask, rows):
     s = 0
     for i, row in enumerate(rows):
@@ -204,3 +159,49 @@ def golay23_decode(word) -> DecodeOutcome:
         if out.corrected:
             return DecodeOutcome.correction(_GF2, word, out.codeword[:23], out.info)
     return DecodeOutcome.failure()
+
+
+@own_decoders("decode", calls=(golay24_decode, golay23_decode))
+class GolayCode:
+    """The perfect [23,12,7] code or its self-dual [24,12,8] extension."""
+
+    def __init__(self, variant: str = "G23"):
+        if variant not in ("G23", "G24"):
+            raise InvalidParams(f"variant must be 'G23' or 'G24', got {variant!r}")
+        self.variant = variant
+        self.field = _GF2
+        self.subfield = _GF2.alphabet
+        self.radius = 3
+        self.P = MatrixGF(_GF2, _P)
+        self.Q = MatrixGF(_GF2, _Q)
+        self.H1 = MatrixGF(_GF2, [r + e for r, e in
+                                  zip(_Q, MatrixGF.identity(_GF2, 12).rows)])
+        self.H2 = MatrixGF(_GF2, [e + r for e, r in
+                                  zip(MatrixGF.identity(_GF2, 12).rows, _QT)])
+        if variant == "G24":
+            # self-dual: H1 is both parity-check and generator; H2 is
+            # the systematic generator used for encoding
+            self.code = LinearCode(_GF2, self.H2, self.H1)
+            self.n, self.k = 24, 12
+        else:
+            H = MatrixGF(_GF2, [p + e for p, e in
+                                zip(_P, MatrixGF.identity(_GF2, 11).rows)])
+            self.code = LinearCode.from_parity(_GF2, H)
+            self.n, self.k = 23, 12
+
+    def encode(self, u):
+        word24 = self.H2.mul_vec(check_word(tuple(u), self.k, self.subfield))
+        return word24 if self.variant == "G24" else word24[:23]
+
+    def decode(self, word, erasures=()) -> DecodeOutcome:
+        """Erased symbols are read as zeros; the public decoders below
+        check the word."""
+        word = as_received(word, erasures).symbols
+        if self.variant == "G24":
+            return golay24_decode(word)
+        return golay23_decode(word)
+
+    def batch_codec(self):
+        """`radius_codec`, unless a subclass or a patch replaced `decode`
+        or one of the public decoders it calls."""
+        return radius_codec(self) if runs_own_decoders(self, GolayCode) else None

@@ -22,12 +22,36 @@ the Forney values and the final re-check.  A word is only ever emitted
 if its error polynomial reproduces every syndrome, so the decoders
 never output a non-codeword.
 
+A word with t erasures and no errors needs no solver (Forney 1965).
+When the generalized syndromes s_hat_t .. s_hat_(n-k-1) are all zero,
+both solvers return sigma = 1 and omega = -(s_hat mod x^(n-k)).  Every
+Hankel matrix PGZ tries holds only s_hat_(t+1) .. s_hat_(n-k-1), so
+none is invertible.  Euclid stops at s_hat mod x^(n-k), of degree below
+t and so within its threshold, after at most two division steps: none
+when deg s_hat < n-k; one, by a constant, when deg s_hat = n-k; and
+when deg s_hat > n-k a swap, then the reduction mod x^(n-k).  Each
+leaves t_i a constant, which the solver divides out.  So `_keyeq`
+skips the solver and the Chien search on such a word: the locator is
+sigma2, whose roots are the erasure positions.  The Forney values and
+the re-check are shared as ever, and the outcome, key_state included,
+is the one either solver gives.
+
 Everything from the erasure locator to the re-check verdict is a
 function of (S, erasure set, solver) alone (Berlekamp 1968), so a code
 memoises that stage where the keys are few.  Words with t erasures have
 q^(n-k) syndromes times C(n, t) erasure sets as keys; they are memoised
 for every t up to the first whose keys outnumber MEMO_KEYS.  A memoised
 word costs its syndromes and the emitted outcome.
+
+The memo key is the word's `_syndrome_key`.  On the pure-Python backend
+over GF(2^m), m <= 8 (a `_packed` code), each pair of a position i and
+a symbol a owns one int that holds the n - k contributions a x_j^i, m
+bits apiece (`packed_rows`, built on first use and shared by equal
+codes, as a warm CLI call builds its code afresh).  A word's key is the
+XOR of its n entries, zero exactly when S is, and S is unpacked only
+when the key-equation stage runs.  The numpy backend, larger fields
+and odd characteristic key a word by the coefficients of S, taken by
+`gather_eval`.
 
 Five fixed linear maps, one kernel.  Each stage below maps a vector
 to the values of fixed field-element combinations of it, O(n(n-k))
@@ -42,7 +66,8 @@ exp[L[j][i] + log c_i] over i.  A zero entry reads the zero tail of the
 padded exp table, so nothing branches.  The syndrome and Chien matrices
 are the powers x_j^i of their points (`power_log_rows`); Forney takes
 the Chien rows of the roots and the re-check the syndrome columns of
-the error positions.  A code builds each matrix on its first use.
+the error positions.  A code builds each matrix on its first use.  A
+`_packed` code takes a word's syndromes from its packed table instead.
 
 The kernel has two backends, chosen once per code by the form of its
 matrices.  A GF(2^m) code whose full n(n-k) is at least VECTOR_WORK
@@ -68,6 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
+from operator import getitem, xor
 
 from .errors import DegreeTooHigh, InvalidParams, InvalidSymbol, LengthMismatch
 from .linear import (
@@ -116,7 +142,62 @@ class KeyEquationState:
         return self.sigma * self.sigma2
 
 
-@own_decoders("decode", "pgz_decode", "euclid_decode")
+def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
+    """Run r_i = r_{i-2} - q_i r_{i-1} on (x^(n-k), s_hat), tracking the
+    coefficient t_i that multiplies s_hat.  Stops at the first remainder
+    of degree <= threshold.  Returns (r_i, t_i, trace) where trace lists
+    the (r_i, q_i, t_i) rows of the recursion.
+    """
+    r_prev, r_cur = Poly.monomial(field, nk), s_hat
+    t_prev, t_cur = Poly.zero(field), Poly.one(field)
+    trace = []
+    while r_cur.degree > threshold:
+        q, r = divmod(r_prev, r_cur)
+        r_prev, r_cur = r_cur, r
+        t_prev, t_cur = t_cur, t_prev - q * t_cur
+        trace.append((r_cur, q, t_cur))
+    return r_cur, t_cur, trace
+
+
+def gather_eval(field, L, coeffs, rows=None, cols=None) -> list:
+    """M c, where L is the log matrix of M, over the rows of M listed in
+    `rows` and the columns in `cols` (when None: every row, and the
+    first len(coeffs) columns): output j sums M[rows[j]][cols[i]] c_i
+    over i.  Every exp index is at most 4(q - 1), inside the padded
+    table.  The coefficients must lie in range(q), unchecked: a negative
+    one would wrap.  L picks the backend: a numpy array (GF(2^m) only)
+    gathers every product at once and XORs along each row; rows of ints
+    are walked in pure Python over the nonzero coefficients alone."""
+    if not isinstance(L, list):
+        import numpy as np
+
+        if rows is not None:
+            L = L[rows]
+        L = L[:, :len(coeffs)] if cols is None else L[:, cols]
+        coeffs = np.array(coeffs, dtype=np.intp)
+        return _log_matvec(*_gather_tables(field), L, coeffs).tolist()
+    exp, log = field._exp_pad, field._log_pad
+    terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
+    if cols is not None:
+        terms = [(cols[i], lc) for i, lc in terms]
+    if rows is not None:
+        L = [L[j] for j in rows]
+    if field.p != 2:
+        add = field.add
+        return [reduce(add, [exp[row[i] + lc] for i, lc in terms], 0) for row in L]
+    out = []
+    for row in L:
+        acc = 0
+        for i, lc in terms:
+            acc ^= exp[row[i] + lc]
+        out.append(acc)
+    return out
+
+
+@own_decoders("decode", "pgz_decode", "euclid_decode", "_decode", "_expand_word",
+              "_syndrome_key", "_syndrome_poly", "_keyeq", "_solve_erasures",
+              "_solve_pgz", "_solve_euclid", "_emit",
+              calls=(gather_eval, euclid_key_equation))
 class RSCode:
     """[n, k] Reed-Solomon code over GF(q) with n | q - 1, root offset
     m0, and optional shortening by `shorten_by` information symbols.
@@ -153,6 +234,7 @@ class RSCode:
         self.radius = (n - k) // 2
         self._full_n = n
         self._full_k = k
+        self._no_errors = (0,) * n
         self.n = n - shorten_by
         self.k = k - shorten_by
         self.m0 = m0
@@ -172,6 +254,10 @@ class RSCode:
         # the backend of the linear maps; their log matrices are built on
         # first use, not here, to keep numpy and their cost out of set-up
         self._gathered = field.p == 2 and n * (n - k) >= VECTOR_WORK
+        # the pure-Python backend in characteristic 2 keys a word by its
+        # packed syndromes (see the module docstring), up to GF(256): the
+        # table holds n q ints
+        self._packed = field.p == 2 and not self._gathered and field.q <= 256
 
     # -- shape ------------------------------------------------------------
 
@@ -236,7 +322,24 @@ class RSCode:
         return self._syndromes_full(self._expand_word(received(self, word)))
 
     def _syndromes_full(self, w: ReceivedWord) -> Poly:
-        return Poly(self.field, gather_eval(self.field, self._syndrome_logs, w.symbols))
+        return self._syndrome_poly(self._syndrome_key(w.symbols))
+
+    def _syndrome_key(self, symbols):
+        """The syndromes of a full-length word as its memo key, falsy when
+        they are all zero: the XOR of the word's packed syndrome
+        contributions on a `_packed` code, the coefficients of S on any
+        other."""
+        if self._packed:
+            return reduce(xor, map(getitem, self._packed_rows, symbols), 0)
+        return Poly(self.field, gather_eval(self.field, self._syndrome_logs, symbols)).coeffs
+
+    def _syndrome_poly(self, key) -> Poly:
+        """S(x) from a `_syndrome_key`."""
+        if not self._packed:
+            return Poly(self.field, key)
+        m = self.field.nu
+        mask = (1 << m) - 1
+        return Poly(self.field, [key >> m * j & mask for j in range(self.n - self.k)])
 
     # -- log matrices of the linear maps, built on first use ----------------
 
@@ -255,6 +358,11 @@ class RSCode:
         beta^(m0+j)."""
         return self._backend(
             power_log_rows(self.field, self._syndrome_points, self._full_n))
+
+    @cached_property
+    def _packed_rows(self):
+        """`packed_rows` of the syndrome points, shared by equal codes."""
+        return packed_rows(self.field, tuple(self._syndrome_points), self._full_n)
 
     @cached_property
     def _chien_logs(self):
@@ -294,47 +402,52 @@ class RSCode:
         if len(w.erasures) > self.n - self.k:
             return DecodeOutcome.failure()
 
-        S = self._syndromes_full(w)
-        if S.is_zero:
+        syndromes = self._syndrome_key(w.symbols)
+        if not syndromes:
             # erased symbols zeroed are already consistent: no errors
             return self._emit(w, {}, None)
 
         if len(w.erasures) > self._memo_erasures:
-            found = self._keyeq(S, w.erasures, solver)
+            found = self._keyeq(syndromes, w.erasures, solver)
         else:
-            memo, key = self._memo, (S.coeffs, w.erasures, solver)
+            memo, key = self._memo, (syndromes, w.erasures, solver)
             try:
                 found = memo[key]
             except KeyError:
                 if len(memo) >= MEMO_CAP:
                     memo.clear()
-                found = memo[key] = self._keyeq(S, w.erasures, solver)
+                found = memo[key] = self._keyeq(syndromes, w.erasures, solver)
         if found is None:
             return DecodeOutcome.failure()
         return self._emit(w, *found)
 
-    def _keyeq(self, S: Poly, erasures: frozenset, solver: str):
-        """The syndrome-determined stage: erasure locator, key equation,
-        Chien search, Forney values and the syndrome re-check.  Returns
-        (error values by position, KeyEquationState), or None when the
-        word is uncorrectable."""
+    def _keyeq(self, syndromes, erasures: frozenset, solver: str):
+        """The syndrome-determined stage, for a nonzero `_syndrome_key`:
+        erasure locator, key equation, Chien search, Forney values and the
+        syndrome re-check.  Returns (error values by position,
+        KeyEquationState), or None when the word is uncorrectable."""
         f = self.field
         nk = self.n - self.k
         t = len(erasures)
+        S = self._syndrome_poly(syndromes)
         sigma2 = Poly.from_roots(
             f, [self._chien_points[e] for e in sorted(erasures)]
         )
         s_hat = sigma2 * S
-        solve = self._solve_pgz if solver == "pgz" else self._solve_euclid
-        sigma, omega = solve(s_hat, nk, t)
-
-        locator = sigma * sigma2
-        # chien search over all positions
         chien = self._chien_logs
-        at = gather_eval(f, chien, locator.coeffs)
-        roots = [i for i, v in enumerate(at) if v == 0]
-        if len(roots) != locator.degree:
-            return None
+        found = self._solve_erasures(s_hat, nk, t)
+        if found is not None:
+            # no errors: the roots of the locator sigma2 are the erasures
+            (sigma, omega), locator, roots = found, sigma2, sorted(erasures)
+        else:
+            solve = self._solve_pgz if solver == "pgz" else self._solve_euclid
+            sigma, omega = solve(s_hat, nk, t)
+            locator = sigma * sigma2
+            # chien search over all positions
+            at = gather_eval(f, chien, locator.coeffs)
+            roots = [i for i, v in enumerate(at) if v == 0]
+            if len(roots) != locator.degree:
+                return None
 
         # error magnitudes through the derivative of the full locator,
         # which is nonzero at its deg-many distinct roots
@@ -377,26 +490,35 @@ class RSCode:
         return self._batch if own else None
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:
-        f = self.field
-        fixed = list(w.symbols)
-        err = [0] * self._full_n
-        for i, e in values.items():
-            fixed[i] = f.sub(fixed[i], e)
-            err[i] = e
-        # a shortened code cannot have symbols in the suppressed block
-        if any(fixed[self.k:self._full_k]):
-            return DecodeOutcome.failure()
-        codeword = tuple(fixed[: self.k] + fixed[self._full_k:])
+        fixed, err = w.symbols, self._no_errors
+        if values:
+            f, fixed, err = self.field, list(fixed), list(err)
+            for i, e in values.items():
+                fixed[i] = f.sub(fixed[i], e)
+                err[i] = e
+            # a shortened code cannot have symbols in the suppressed block
+            if any(fixed[self.k:self._full_k]):
+                return DecodeOutcome.failure()
+            fixed, err = tuple(fixed), tuple(err)
+        codeword = fixed[: self.k] + fixed[self._full_k:] if self.shorten_by else fixed
         return DecodeOutcome(
             "corrected",
             codeword=codeword,
-            error_vector=tuple(err),
-            error_positions=tuple(sorted(set(values) | w.erasures)),
+            error_vector=err,
+            error_positions=tuple(sorted(w.erasures.union(values))),
             info=codeword[: self.k],
             key_state=state,
         )
 
     # -- key-equation solvers ----------------------------------------------------
+
+    def _solve_erasures(self, s_hat: Poly, nk: int, t: int):
+        """(1, -(s_hat mod x^(n-k))) when the generalized syndromes
+        s_hat_t .. s_hat_(n-k-1) are all zero, as either solver would
+        return (see the module docstring); None otherwise."""
+        if any(s_hat.coeffs[t:nk]):
+            return None
+        return Poly.one(self.field), -s_hat.truncate(nk)
 
     def _solve_pgz(self, s_hat: Poly, nk: int, t: int):
         """Largest-nonsingular-Hankel-matrix solver.  Returns (sigma,
@@ -426,23 +548,6 @@ class RSCode:
         r, tpoly, _ = euclid_key_equation(self.field, nk, s_hat, threshold)
         lam = self.field.inv(tpoly.lc)
         return tpoly.scale(lam), -r.scale(lam)
-
-
-def euclid_key_equation(field, nk: int, s_hat: Poly, threshold):
-    """Run r_i = r_{i-2} - q_i r_{i-1} on (x^(n-k), s_hat), tracking the
-    coefficient t_i that multiplies s_hat.  Stops at the first remainder
-    of degree <= threshold.  Returns (r_i, t_i, trace) where trace lists
-    the (r_i, q_i, t_i) rows of the recursion.
-    """
-    r_prev, r_cur = Poly.monomial(field, nk), s_hat
-    t_prev, t_cur = Poly.zero(field), Poly.one(field)
-    trace = []
-    while r_cur.degree > threshold:
-        q, r = divmod(r_prev, r_cur)
-        r_prev, r_cur = r_cur, r
-        t_prev, t_cur = t_cur, t_prev - q * t_cur
-        trace.append((r_cur, q, t_cur))
-    return r_cur, t_cur, trace
 
 
 class BatchCoder:
@@ -625,6 +730,26 @@ def _log_matvec(exp, log, L, coeffs):
     return np.bitwise_xor.reduce(exp[L + log[coeffs][..., None, :]], axis=-1)
 
 
+@lru_cache(maxsize=None)
+def packed_rows(field, points, width: int):
+    """The packed table of the evaluation at nonzero points x_j over
+    GF(2^m): row i (i < width) maps a symbol a to the values a x_j^i, m
+    bits apiece, the value at x_j in bits mj .. mj + m - 1, so a word's
+    values are the XOR of one entry per position.  a -> a x is
+    GF(2)-linear, so a row is doubled once per basis symbol 2^b: the
+    entries of a + 2^b are those of a XOR that of 2^b."""
+    exp, log, m = field._exp_pad, field._log_pad, field.nu
+    rows = []
+    for powers in zip(*power_log_rows(field, points, width)):
+        row = [0]
+        for b in range(m):
+            lb = log[1 << b]
+            unit = sum(exp[lx + lb] << m * j for j, lx in enumerate(powers))
+            row += [x ^ unit for x in row]
+        rows.append(row)
+    return rows
+
+
 def log_rows(field, rows):
     """The logs of the entries of a matrix over the field, given as rows,
     with log 0 stored as 2(q - 1): the operand of `gather_eval`."""
@@ -637,38 +762,3 @@ def power_log_rows(field, points, width: int):
     read as i * log(x_j) mod (q - 1) without forming the powers."""
     order = field.q - 1
     return [[lx * i % order for i in range(width)] for lx in map(field.log, points)]
-
-
-def gather_eval(field, L, coeffs, rows=None, cols=None) -> list:
-    """M c, where L is the log matrix of M, over the rows of M listed in
-    `rows` and the columns in `cols` (when None: every row, and the
-    first len(coeffs) columns): output j sums M[rows[j]][cols[i]] c_i
-    over i.  Every exp index is at most 4(q - 1), inside the padded
-    table.  The coefficients must lie in range(q), unchecked: a negative
-    one would wrap.  L picks the backend: a numpy array (GF(2^m) only)
-    gathers every product at once and XORs along each row; rows of ints
-    are walked in pure Python over the nonzero coefficients alone."""
-    if not isinstance(L, list):
-        import numpy as np
-
-        if rows is not None:
-            L = L[rows]
-        L = L[:, :len(coeffs)] if cols is None else L[:, cols]
-        coeffs = np.array(coeffs, dtype=np.intp)
-        return _log_matvec(*_gather_tables(field), L, coeffs).tolist()
-    exp, log = field._exp_pad, field._log_pad
-    terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
-    if cols is not None:
-        terms = [(cols[i], lc) for i, lc in terms]
-    if rows is not None:
-        L = [L[j] for j in rows]
-    if field.p != 2:
-        add = field.add
-        return [reduce(add, [exp[row[i] + lc] for i, lc in terms], 0) for row in L]
-    out = []
-    for row in L:
-        acc = 0
-        for i, lc in terms:
-            acc ^= exp[row[i] + lc]
-        out.append(acc)
-    return out

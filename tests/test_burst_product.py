@@ -465,3 +465,44 @@ def test_product_2d_decode_takes_row_order_erasures(gf8):
     assert out.codeword == pc.serialize(pc.encode(info))
     # erased symbols read as zeros, and the codeword is nonzero there
     assert out.error_positions == erasures
+
+
+# -- one intake check per composite word ------------------------------------------
+
+def test_a_composite_checks_its_word_once(gf8, monkeypatch):
+    # the RS(7,5) x 4 interleave and the RS(7,3) x RS(7,5) product of the
+    # burst benchmark: the composite checks its word, and every part
+    # decode, the product's row re-checks included, takes a word it built
+    from blockfec import linear
+
+    interleaved = InterleavedCode(RSCode(gf8, 7, 5), 4)
+    product = ProductCode(RSCode(gf8, 7, 3), RSCode(gf8, 7, 5))
+    serial = SerialProduct(product)
+    rng = random.Random(8)
+    cases = []
+    for code, burst in ((interleaved, 12), (serial, 21)):
+        for length in range(0, burst + 1, 3):
+            word = list(code.encode([rng.randrange(8) for _ in range(code.k)]))
+            start = rng.randrange(code.n - length + 1)
+            for p in range(start, start + length):
+                word[p] ^= rng.randrange(1, 8)
+            erasures = tuple(rng.sample(range(code.n), rng.randrange(3)))
+            cases.append((code, tuple(word), erasures))
+    calls = []
+    check = linear.check_word
+
+    def counted(symbols, n, alphabet):
+        calls.append(n)
+        return check(symbols, n, alphabet)
+
+    monkeypatch.setattr(linear, "check_word", counted)
+    verdicts = set()
+    for code, word, erasures in cases:
+        calls.clear()
+        verdicts.add(code.decode(word, erasures).corrected)
+        assert calls == [code.n]
+        if code is serial:
+            calls.clear()
+            product.decode(product.deserialize(word), ProductDecodePolicy(), erasures)
+            assert calls == [49]
+    assert verdicts == {True, False}

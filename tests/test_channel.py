@@ -19,8 +19,10 @@ from blockfec import (
     event_polynomials,
     golay23_decode,
     monte_carlo,
+    named_codes,
     perr_bound,
     perr_first_term,
+    reed_solomon,
     round_to_places,
 )
 from blockfec.codespec import build
@@ -459,6 +461,59 @@ def test_replaced_decoders_of_binary_codes_stay_on_the_loop(name, how, monkeypat
     assert not codec_calls
     planted = PLANTED_P_ERR.get((name, how[:4]), PLANTED_P_ERR[name])
     assert loop["P_err_hat"] == planted > own["P_err_hat"]
+
+
+def golay_received(word):
+    """A planted bad public Golay decoder: every word "corrected" as received."""
+    word = as_received(word).symbols
+    return DecodeOutcome("corrected", codeword=word, info=word[:12])
+
+
+def test_patched_golay_decoder_sends_golay_to_the_loop(monkeypatch, codec_calls):
+    # GolayCode.decode calls the module's public decoder, so a patch of it
+    # is a replaced decoder: the loop runs it, and its errors show
+    code = GolayCode("G24")
+    own = monte_carlo(code, code.decode, 0.05, 2000, seed=1)
+    assert codec_calls and own["P_err_hat"] == 0.004
+    monkeypatch.setattr(named_codes, "golay24_decode", golay_received)
+    codec_calls.clear()
+    assert code.batch_codec() is None
+    loop = monte_carlo(code, code.decode, 0.05, 2000, seed=1)
+    assert not codec_calls and loop["P_err_hat"] == PLANTED_P_ERR["golay24"]
+
+
+def test_patched_key_equation_sends_rs_to_the_loop(monkeypatch, codec_calls):
+    # a class patch of the key-equation stage that `decode` reaches: here
+    # one that gives up on every word it sees
+    built = build(RS_SPECS["rs10_pgz"])
+    own = monte_carlo(built, built.decode, 0.05, 1000, seed=4)
+    assert codec_calls
+    monkeypatch.setattr(RSCode, "_keyeq", lambda self, syndromes, erasures, solver: None)
+    codec_calls.clear()
+    assert built.code.batch_codec() is None
+    loop = monte_carlo(built, built.decode, 0.05, 1000, seed=4)
+    assert not codec_calls
+    assert loop == monte_carlo(built, lambda w: built.decode(w), 0.05, 1000, seed=4)
+    assert loop["P_det_hat"] > own["P_det_hat"]
+
+
+# every method and module function that a trust rule notes, with a code
+# of its family
+TRUSTED = [(RSCode, name, RS_SPECS["rs7_5"]) for name in RSCode._own_decoders]
+TRUSTED += [(reed_solomon, fn.__name__, RS_SPECS["rs7_5"]) for fn in RSCode._own_calls]
+TRUSTED += [(named_codes, fn.__name__, "golay24") for fn in GolayCode._own_calls]
+
+
+@pytest.mark.parametrize("owner,name,spec", TRUSTED,
+                         ids=[f"{owner.__name__}.{name}" for owner, name, _ in TRUSTED])
+def test_every_noted_decoder_is_in_the_trust_rule(owner, name, spec, monkeypatch):
+    # an honest wrapper of any method or function the rule notes still
+    # counts as a replaced decoder
+    code = build(spec).code
+    assert code.batch_codec() is not None
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: original(*args))
+    assert code.batch_codec() is None
 
 
 CODEC_SPECS = {"rs7_5": RS_SPECS["rs7_5"], "golay24": "golay24",

@@ -10,7 +10,8 @@ from itertools import count
 import numpy as np
 import pytest
 
-from blockfec import FiniteField, RSCode, golay23_decode, golay24_decode, monte_carlo
+from blockfec import (BCHCode, FiniteField, InterleavedCode, Poly, RSCode, SerialProduct,
+                      golay23_decode, golay24_decode, monte_carlo)
 from blockfec.cli import main
 from blockfec.codespec import build
 from blockfec.errors import FecError, InvalidParams, InvalidSymbol, LengthMismatch
@@ -237,6 +238,24 @@ def test_malformed_input_raises_a_fec_error(name):
         built.encode((bad,) + (0,) * (k - 1))
 
 
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_bad_symbol_in_a_user_word_raises_at_every_decode(name):
+    # composites check their word once and hand their parts words they
+    # built; a word a user built, a ReceivedWord included, is checked
+    built = build(MALFORMED[name])
+    n = built.n
+    bad = next(s for s in count() if s not in built.subfield)
+    for code in (built, built.code):
+        for pos in (0, n // 2, n - 1):
+            word = (0,) * pos + (bad,) + (0,) * (n - 1 - pos)
+            other = (pos + 1) % n
+            for given, erasures in [(word, ()), (ReceivedWord(word), ()),
+                                    (ReceivedWord.make(word, [other]), ()),
+                                    (ReceivedWord(word), (other,))]:
+                with pytest.raises(InvalidSymbol):
+                    code.decode(given, erasures)
+
+
 @pytest.mark.parametrize("decode,n", [(golay23_decode, 23), (golay24_decode, 24)])
 def test_public_golay_decoders_check_the_word(decode, n):
     for word, error in malformed_words(n, 2):
@@ -339,3 +358,59 @@ def test_a_decode_builds_one_received_word(spec, monkeypatch):
     monkeypatch.setattr(ReceivedWord, "make", classmethod(counted))
     assert code.decode(tuple(word)).corrected
     assert len(calls) == 1
+
+
+# -- the packed syndrome key ---------------------------------------------------------
+
+def rs_parts(code):
+    """The RS codes that a family's `decode` reaches."""
+    if isinstance(code, RSCode):
+        return [code]
+    if isinstance(code, BCHCode):
+        return [code.rs]
+    if isinstance(code, InterleavedCode):
+        return rs_parts(code.base)
+    if isinstance(code, SerialProduct):
+        return rs_parts(code.product.outer) + rs_parts(code.product.inner)
+    return []
+
+
+def test_packed_syndrome_key_equals_the_gathered_syndromes():
+    # every pure-backend GF(2^m) RS code of the protocol cases, as a code
+    # or as a part: each table entry, and so by linearity every word
+    from blockfec.reed_solomon import gather_eval
+
+    codes = {}
+    for spec, _, _, partner in CASES.values():
+        for part in rs_parts(build(spec).code) + rs_parts(build(partner).code):
+            codes[repr((part.field, part._full_n, part._full_k, part.m0))] = part
+    assert len(codes) == 4
+    rng = random.Random(5)
+    for rs in codes.values():
+        f, n = rs.field, rs._full_n
+        assert rs._packed and f.p == 2 and isinstance(rs._syndrome_logs, list)
+
+        def gathered(word):
+            return Poly(f, gather_eval(f, rs._syndrome_logs, word))
+
+        for i in range(n):
+            for a in range(f.q):
+                unit = [0] * n
+                unit[i] = a
+                assert rs._syndrome_poly(rs._packed_rows[i][a]) == gathered(unit)
+        for _ in range(200):
+            word = [rng.randrange(f.q) for _ in range(n)]
+            key = rs._syndrome_key(word)
+            assert rs._syndrome_poly(key) == gathered(word)
+            assert (key == 0) == gathered(word).is_zero
+
+
+def test_codes_over_larger_fields_key_by_the_coefficients_of_s():
+    # a table of n q ints is kept to fields of at most 256 elements
+    rs = RSCode(FiniteField(2, 10), 31, 27)
+    assert not rs._packed and not rs._gathered
+    word = list(rs.encode(range(1, 28)))
+    word[4] ^= 700
+    out = rs.decode(word, [9])
+    assert out.corrected and out.codeword == rs.encode(range(1, 28))
+    assert rs._syndrome_key(word) == rs.syndromes(word).coeffs

@@ -805,6 +805,79 @@ def test_erasure_free_words_share_one_empty_erasure_set(gf8):
         assert code._memo and all(e is empty for _, e, _ in code._memo)
 
 
+# -- the erasure-only step ---------------------------------------------------------
+
+def erasure_words(rs, erasures, rng):
+    """Words with `erasures` garbled: a codeword, a codeword with errors
+    within the rest of the radius, and beyond it, and a random word."""
+    f, n, nk = rs.field, rs.n, rs.n - rs.k
+    others = [i for i in range(n) if i not in erasures]
+    for e in (0, (nk - len(erasures)) // 2, (nk - len(erasures)) // 2 + 1, None):
+        if e is None:
+            yield [rng.randrange(f.q) for _ in range(n)]
+            continue
+        word = list(rs.encode([rng.randrange(f.q) for _ in range(rs.k)]))
+        for p in erasures:
+            word[p] = rng.randrange(f.q)
+        for p in rng.sample(others, min(e, len(others))):
+            word[p] = f.add(word[p], rng.randrange(1, f.q))
+        yield word
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_erasure_only_step_equals_both_solvers(gf8, k):
+    # on every erasure set with s <= n - k, wherever the step fires its
+    # (sigma, omega) is what Euclid and PGZ return for the same s_hat
+    rs, nk = RSCode(gf8, 7, k), 7 - k
+    rng, fired, passed = random.Random(k), 0, 0
+    for s in range(nk + 1):
+        for erasures in combinations(range(7), s):
+            sigma2 = Poly.from_roots(gf8, [rs._chien_points[e] for e in erasures])
+            for _ in range(3):
+                for word in erasure_words(rs, erasures, rng):
+                    S = rs.syndromes(ReceivedWord.make(word, erasures))
+                    s_hat = sigma2 * S
+                    found = rs._solve_erasures(s_hat, nk, s)
+                    if found is None:
+                        passed += 1
+                        continue
+                    fired += 1
+                    assert found == rs._solve_euclid(s_hat, nk, s)
+                    assert found == rs._solve_pgz(s_hat, nk, s)
+    assert fired and passed
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_erasure_only_step_keeps_every_outcome(gf8, k, monkeypatch):
+    # with the step or without it, every word decodes to the same
+    # outcome, key_state included, by either solver
+    words, rng = [], random.Random(10 + k)
+    for s in range(7 - k + 1):
+        for erasures in combinations(range(7), s):
+            words += [(w, erasures) for w in erasure_words(RSCode(gf8, 7, k), erasures, rng)]
+    with_step = [[RSCode(gf8, 7, k, decoder=d).decode(w, e) for w, e in words]
+                 for d in RSCode.DECODERS]
+    monkeypatch.setattr(RSCode, "_solve_erasures", lambda self, s_hat, nk, t: None)
+    without = [[RSCode(gf8, 7, k, decoder=d).decode(w, e) for w, e in words]
+               for d in RSCode.DECODERS]
+    assert with_step == without
+    assert any(out.corrected and out.key_state and out.key_state.sigma.degree == 0
+               for out in with_step[0])
+
+
+def test_erasure_only_step_skips_the_solver(gf8, monkeypatch):
+    # a word whose only corruption is erasures never reaches a solver
+    rs = RSCode(gf8, 7, 3)
+    word = list(rs.encode((1, 2, 3)))
+    for p in (0, 2, 5, 6):
+        word[p] ^= 7
+    calls = []
+    for name in ("_solve_euclid", "_solve_pgz"):
+        monkeypatch.setattr(RSCode, name, lambda self, *a: calls.append(a))
+    out = rs.decode(word, (0, 2, 5, 6))
+    assert out.corrected and out.codeword == rs.encode((1, 2, 3)) and not calls
+
+
 # -- the one log-matrix kernel and its two backends -----------------------------------
 
 def numpy_backend(rows):
@@ -1049,27 +1122,37 @@ def test_gathered_code_takes_words_of_bools():
 
 
 def test_small_codes_code_without_numpy():
-    # the package __init__ imports numpy through `channel`, so the probe
-    # loads the modules it needs without it
+    # importing the package and its CLI loads no numpy, nor does coding
+    # with small codes, their interleaves and products; the large codes'
+    # gathered backend loads it
     probe = """if True:
-        import sys, types
-        package = types.ModuleType("blockfec")
-        package.__path__ = [sys.argv[1]]
-        sys.modules["blockfec"] = package
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import blockfec, blockfec.cli
+        from blockfec.codespec import build
         from blockfec.galois import GF
         from blockfec.reed_solomon import RSCode
+        print("numpy" in sys.modules)
         rs = RSCode(GF(2, 4), 15, 9)
         word = list(rs.encode(range(9)))
         word[3] ^= 5
         assert rs.decode(word).corrected
+        gf8 = "GF(2^3)[1,1,0,1]"
+        for spec in (f"interleaved:depth=4,base={{rs:field={gf8},n=7,k=5}}",
+                     f"product:outer={{rs:field={gf8},n=7,k=3}},"
+                     f"inner={{rs:field={gf8},n=7,k=5}}"):
+            code = build(spec)
+            word = list(code.encode([1] * code.k))
+            word[0] ^= 3
+            assert code.decode(word, [5]).corrected
         print("numpy" in sys.modules)
         RSCode(GF(2, 8), 255, 223).encode([1])
         print("numpy" in sys.modules)
     """
-    where = str(Path(reed_solomon.__file__).parent)
+    where = str(Path(reed_solomon.__file__).parent.parent)
     done = subprocess.run([sys.executable, "-c", probe, where], capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "False", "True"]
 
 
 # -- the batch decoder ----------------------------------------------------------
@@ -1156,11 +1239,14 @@ def test_batch_decodes_in_chunks(monkeypatch):
 
 
 def test_reed_solomon_imports_numpy_only_inside_functions():
-    tree = ast.parse(Path(reed_solomon.__file__).read_text())
-    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
-    names = [alias.name for node in top for alias in node.names]
-    names += [node.module or "" for node in top if isinstance(node, ast.ImportFrom)]
-    assert names and not any(name.split(".")[0] == "numpy" for name in names)
+    # and so do `linear` and `channel`, which the package imports
+    package = Path(reed_solomon.__file__).parent
+    for module in ("reed_solomon", "linear", "channel"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = [alias.name for node in top for alias in node.names]
+        names += [node.module or "" for node in top if isinstance(node, ast.ImportFrom)]
+        assert names and not any(name.split(".")[0] == "numpy" for name in names), module
 
 
 def test_monte_carlo_reaches_families_only_through_batch_codec():
