@@ -6,6 +6,8 @@ encoding/decoding (errors and erasures), burst correction through
 interleaving and product codes, and binary-symmetric-channel analysis.
 """
 
+import sys
+
 from .bch import BCHCode
 from .burst import (
     BurstPattern,
@@ -56,56 +58,16 @@ from .linear import (
 from .named_codes import GolayCode, HammingCode, golay23_decode, golay24_decode
 from .poly import Poly
 from .reed_solomon import KeyEquationState, RSCode, euclid_key_equation
+from . import linear, reed_solomon
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BCHCode",
-    "BurstPattern",
-    "CyclicCode",
-    "DecodeOutcome",
-    "EventPolynomial",
-    "FecError",
-    "FiniteField",
-    "GF",
-    "GolayCode",
-    "HammingCode",
-    "InterleavedCode",
-    "KeyEquationState",
-    "LinearCode",
-    "MatrixGF",
-    "Poly",
-    "ProductCode",
-    "ProductDecodePolicy",
-    "ReceivedWord",
-    "RSCode",
-    "SerialProduct",
-    "StandardArray",
-    "burst_span",
-    "capacity",
-    "conjugacy_class",
-    "enumerate_cyclic_codes",
-    "euclid_key_equation",
-    "event_polynomials",
-    "factor_cyclotomic",
-    "field_isomorphism",
-    "golay23_decode",
-    "golay24_decode",
-    "hamming_distance",
-    "hamming_weight",
-    "is_burst",
-    "is_irreducible",
-    "is_primitive",
-    "minimal_polynomial",
-    "ml_decode",
-    "monte_carlo",
-    "parity_from_generator",
-    "perr_bound",
-    "perr_first_term",
-    "product_min_distance",
-    "reiger_report",
-    "round_to_places",
-    "rs_binary_burst_efficiency",
-    "subfield_elements",
-    "systematic_form",
-]
+# every class and function imported above is public
+__all__ = sorted(name for name, value in globals().items()
+                 if callable(value) and value.__module__.startswith(__name__))
+
+# last, once every module is loaded: the library as imported, which the
+# trust rule of every batch codec holds the live one to
+linear.snapshot_library(
+    [module for name, module in sys.modules.items() if name.startswith(__name__ + ".")],
+    codecs=(linear.ArrayCodec, reed_solomon.BatchCoder))

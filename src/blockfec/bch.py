@@ -13,13 +13,12 @@ from dataclasses import replace
 from .errors import InvalidParams
 from .cyclic import CyclicCode
 from .galois import conjugacy_class, minimal_polynomial, subfield_elements
-from .linear import (DecodeOutcome, own_decoders, radius_codec, received,
+from .linear import (DecodeOutcome, _CheckedWord, radius_codec, received,
                      runs_own_decoders)
 from .poly import Poly
 from .reed_solomon import RSCode
 
 
-@own_decoders("decode")
 class BCHCode(CyclicCode):
     """The cyclic code of g over GF(sub_order): the codewords of the
     underlying [n, n-(designed_d-1)] RS code whose symbols all lie in
@@ -52,15 +51,15 @@ class BCHCode(CyclicCode):
         decoder; a correction that leaves the subfield is uncorrectable.
         Over GF(2) the error values come out as 1, so this is the
         bit-flip decoder."""
-        out = self.rs.decode(received(self, word, erasures))
+        w = received(self, word, erasures)
+        out = self.rs.decode(_CheckedWord(w.symbols, w.erasures))
         if not out.corrected or not self.subfield.issuperset(out.codeword):
             return DecodeOutcome.failure()
         return replace(out, info=out.codeword[: self.k])
 
     def batch_codec(self):
-        """`radius_codec` if `runs_own_decoders` holds for this code and its `rs`."""
-        own = runs_own_decoders(self, BCHCode) and runs_own_decoders(self.rs, RSCode)
-        return radius_codec(self) if own else None
+        """`radius_codec` while `runs_own_decoders` holds."""
+        return radius_codec(self) if runs_own_decoders(self) else None
 
     def __repr__(self):
         return (f"BCHCode[{self.n},{self.k}] over GF({len(self.subfield)}) "

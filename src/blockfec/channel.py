@@ -15,10 +15,10 @@ path.  A StandardArray decoder runs on its array codec.  A code's own
 codec, `code.batch_codec()`: the lookup tables of the radius array for
 Golay, Hamming and binary BCH codes, `BatchCoder` for a GF(2^m)
 Reed-Solomon code.  Every other decoder runs on the loop: a function
-wrapping `code.decode`, which the tests use as the oracle, the decoder
-of a family with no codec, and a replaced decoder of any family, since
-a family gives no codec once a subclass or a patch has replaced one of
-the decoder methods that its `decode` calls (`linear.runs_own_decoders`).
+wrapping `code.decode`, which the tests use as the oracle, and the
+decoder of a family with no codec or of a code whose class, object, or
+any library function has been replaced since import
+(`linear.runs_own_decoders`).
 
 The codecs rest on one fact.  These decoders emit the codeword within
 distance t of the word when there is one and detect every other word,

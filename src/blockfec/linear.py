@@ -19,7 +19,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import index, xor
+from operator import index, itemgetter, xor
+from types import FunctionType
 
 from .errors import (
     InvalidColumns,
@@ -64,7 +65,10 @@ class ReceivedWord:
 
     @classmethod
     def make(cls, symbols, erasures=()) -> "ReceivedWord":
-        symbols = list(symbols)
+        try:
+            symbols = list(symbols)
+        except TypeError:
+            raise LengthMismatch("a word must be a sequence of symbols") from None
         try:
             erasures = frozenset(map(index, erasures)) or NO_ERASURES
         except TypeError:
@@ -112,10 +116,11 @@ def check_word(symbols, n: int, alphabet):
 
 
 class _CheckedWord(ReceivedWord):
-    """A word that a composite code hands one of its parts.  It is built
-    from symbols the composite's own intake checked, or from the parts'
-    codewords over the alphabet they share, with the erased symbols
-    zeroed, so `received` passes it through.  Only composites build one."""
+    """A word that a code hands one of its parts: a composite its
+    columns and rows, a BCH code its RS code.  It is built from symbols
+    the code's own intake checked, or from the parts' codewords over the
+    alphabet they share, with the erased symbols zeroed, so `received`
+    passes it through.  Only codes with parts build one."""
 
 
 def received(code, word, erasures=()) -> ReceivedWord:
@@ -162,25 +167,61 @@ class DecodeOutcome:
                    info=info)
 
 
-def own_decoders(*names, calls=()):
-    """Class decorator: notes what a batch codec reproduces, the methods
-    `names` that `decode` reaches and the module functions it `calls`."""
-    def note(cls):
-        cls._own_decoders = {name: vars(cls)[name] for name in names}
-        cls._own_calls = calls
-        return cls
-    return note
+# the library as imported, for the trust rule: (owner, names, getter,
+# values) of the entries of each module and class, and each class's
+# method names, None when its objects have no __dict__
+_SNAPSHOT, _METHODS = [], {}
+_CLASSES = _METHODS.keys()
 
 
-def runs_own_decoders(code, cls) -> bool:
-    """The trust rule of every batch codec: `code` is a `cls`, not a
-    subclass, neither the class nor the object has replaced a method
-    noted by `own_decoders`, and no module has replaced a function it
-    notes (each is looked up in its own module's namespace)."""
-    return (type(code) is cls
-            and all(vars(cls).get(name) is fn and name not in vars(code)
-                    for name, fn in cls._own_decoders.items())
-            and all(fn.__globals__.get(fn.__name__) is fn for fn in cls._own_calls))
+def snapshot_library(modules, codecs):
+    """Note every callable global of `modules`, and every function or
+    descriptor of the classes they define but the `codecs`, which tests
+    check against `decode`.  The package calls this once every module is
+    loaded, so `runs_own_decoders` sees a patch made before any call."""
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and cls not in codecs]
+    for owner in [*modules, *classes]:
+        names = [name for name, value in vars(owner).items()
+                 if callable(value) or isinstance(value, (classmethod, property,
+                                                          cached_property))]
+        if names:
+            get = itemgetter(*names)
+            _SNAPSHOT.append((owner, names, get, get(vars(owner))))
+    for cls in classes:
+        resolved = {name: value for base in reversed(cls.__mro__)
+                    for name, value in vars(base).items()}
+        _METHODS[cls] = (frozenset(name for name, value in resolved.items() if
+                                   isinstance(value, (FunctionType, classmethod, staticmethod)))
+                         if "__dict__" in resolved else None)
+
+
+def runs_own_decoders(code) -> bool:
+    """The trust rule of every batch codec: no module function, class or
+    method of the library has been replaced since import, `code` is of a
+    library class, not a subclass, and neither it nor a library object it
+    holds, directly or through others, shadows a method in its __dict__."""
+    try:
+        intact = all(get(vars(owner)) == values for owner, _, get, values in _SNAPSHOT)
+    except KeyError:   # an entry was deleted
+        return False
+    return intact and _unshadowed(code, set())
+
+
+def _unshadowed(obj, seen) -> bool:
+    # cached_property values sit in the __dict__ too, under names that
+    # are no methods; `seen` cuts cycles such as a standard array's code
+    if type(obj) not in _METHODS:
+        return False
+    methods = _METHODS[type(obj)]
+    if methods is None:
+        return True
+    seen.add(id(obj))
+    attrs = vars(obj)
+    return methods.isdisjoint(attrs) and all(
+        id(value) in seen or _CLASSES.isdisjoint(type(value).__mro__)
+        or _unshadowed(value, seen) for value in attrs.values())
 
 
 class MatrixGF:
@@ -356,7 +397,6 @@ def parity_from_generator(G_sys: MatrixGF) -> MatrixGF:
     return MatrixGF(f, vt).hstack(MatrixGF.identity(f, n - k))
 
 
-@own_decoders("_message_of")
 class LinearCode:
     """An [n, k] linear code given by generator and parity matrices."""
 

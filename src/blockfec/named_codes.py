@@ -11,13 +11,11 @@ from __future__ import annotations
 from .errors import InvalidParams, TooLarge
 from .galois import GF
 from .linear import (MAX_HAMMING_R, DecodeOutcome, LinearCode, MatrixGF,
-                     as_received, check_word, own_decoders, radius_codec, received,
-                     runs_own_decoders)
+                     as_received, check_word, radius_codec, received, runs_own_decoders)
 
 _GF2 = GF(2)
 
 
-@own_decoders("decode")
 class HammingCode:
     """[2^r - 1, 2^r - r - 1, 3] code whose parity columns count in
     binary, so a syndrome read as a number is the 1-based error
@@ -55,9 +53,8 @@ class HammingCode:
         )
 
     def batch_codec(self):
-        """`radius_codec` if `runs_own_decoders` holds for this code and its `code`."""
-        own = runs_own_decoders(self, HammingCode) and runs_own_decoders(self.code, LinearCode)
-        return radius_codec(self) if own else None
+        """`radius_codec` while `runs_own_decoders` holds."""
+        return radius_codec(self) if runs_own_decoders(self) else None
 
 
 # The 11x12 block of the Golay parity-check matrix.
@@ -161,7 +158,6 @@ def golay23_decode(word) -> DecodeOutcome:
     return DecodeOutcome.failure()
 
 
-@own_decoders("decode", calls=(golay24_decode, golay23_decode))
 class GolayCode:
     """The perfect [23,12,7] code or its self-dual [24,12,8] extension."""
 
@@ -202,6 +198,5 @@ class GolayCode:
         return golay23_decode(word)
 
     def batch_codec(self):
-        """`radius_codec`, unless a subclass or a patch replaced `decode`
-        or one of the public decoders it calls."""
-        return radius_codec(self) if runs_own_decoders(self, GolayCode) else None
+        """`radius_codec` while `runs_own_decoders` holds."""
+        return radius_codec(self) if runs_own_decoders(self) else None

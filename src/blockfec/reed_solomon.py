@@ -83,9 +83,9 @@ the same log matrices, copied on first use and cut to the transmitted
 positions, gathers through the numpy backend's kernel, and solves the
 key equation by inversionless Berlekamp-Massey in lockstep.  Its
 verdicts and codewords are those of `decode` with either solver (see
-`BatchCoder` for why), so it is the code's `batch_codec`, on which
-`channel.monte_carlo` runs the code's own `decode`.  It imports numpy
-when first used, as the gathered backend does.
+`BatchCoder`), so it is the code's `batch_codec` while nothing the
+library runs has been replaced since import (`linear.runs_own_decoders`).
+It imports numpy when first used, as the gathered backend does.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ from .linear import (
     ReceivedWord,
     _solve_square,
     check_word,
-    own_decoders,
     received,
     runs_own_decoders,
 )
@@ -194,10 +193,6 @@ def gather_eval(field, L, coeffs, rows=None, cols=None) -> list:
     return out
 
 
-@own_decoders("decode", "pgz_decode", "euclid_decode", "_decode", "_expand_word",
-              "_syndrome_key", "_syndrome_poly", "_keyeq", "_solve_erasures",
-              "_solve_pgz", "_solve_euclid", "_emit",
-              calls=(gather_eval, euclid_key_equation))
 class RSCode:
     """[n, k] Reed-Solomon code over GF(q) with n | q - 1, root offset
     m0, and optional shortening by `shorten_by` information symbols.
@@ -484,9 +479,8 @@ class RSCode:
         return self._batch.decode(words)
 
     def batch_codec(self):
-        """The `BatchCoder` over GF(2^m), unless a subclass or a patch
-        replaced `decode`, `pgz_decode` or `euclid_decode`."""
-        own = self.field.p == 2 and runs_own_decoders(self, RSCode)
+        """The `BatchCoder` over GF(2^m), while `runs_own_decoders` holds."""
+        own = self.field.p == 2 and runs_own_decoders(self)
         return self._batch if own else None
 
     def _emit(self, w: ReceivedWord, values: dict, state) -> DecodeOutcome:

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from blockfec import BCHCode, CyclicCode, FiniteField, Poly, RSCode, minimal_polynomial
+from blockfec import (BCHCode, CyclicCode, FiniteField, Poly, RSCode, linear,
+                      minimal_polynomial)
 from blockfec.errors import InvalidSymbol, SubfieldViolation
 from blockfec.linear import linear_view
 
@@ -255,3 +256,22 @@ def test_linear_view_of_a_gf4_code_is_over_gf4(gf16):
     for u in iproduct(range(4), repeat=view.k):
         assert code.contains([back[x] for x in view.encode(u)])
     assert view.min_distance() == 10
+
+
+def test_decode_checks_the_word_once(gf16, monkeypatch):
+    # against the subfield; the RS code takes the checked word as it is
+    bch = BCHCode(gf16, 2, 7)
+    calls = []
+    check = linear.check_word
+
+    def counted(symbols, n, alphabet):
+        calls.append(n)
+        return check(symbols, n, alphabet)
+
+    monkeypatch.setattr(linear, "check_word", counted)
+    word = list(bch.encode([1, 0, 1, 1, 0]))
+    word[3] ^= 1
+    for erasures in ((), (5,)):
+        calls.clear()
+        assert bch.decode(word, erasures).corrected
+        assert calls == [15]

@@ -1,5 +1,10 @@
 """Command-line interface: round trips, formats, and exit statuses."""
 
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from blockfec.cli import main
@@ -637,3 +642,30 @@ def test_bad_probability_names_the_flag(capsys):
     )
     assert status == 1 and out == ""
     assert err.startswith("error: --p: ") and "'x'" in err
+
+
+def readme_commands(*names):
+    """The README's example command lines of the named CLI commands."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("blockfec ")]
+    return [argv for argv in commands if argv[0] in names]
+
+
+@pytest.mark.parametrize("argv", readme_commands("field", "encode", "decode", "array"),
+                         ids=lambda argv: argv[0])
+def test_readme_commands_run_without_numpy(argv):
+    # the package, its import-time snapshot and these commands load no numpy
+    probe = """if True:
+        import runpy, sys
+        sys.path.insert(0, sys.argv[1])
+        sys.argv[:2] = ["blockfec"]
+        try:
+            runpy.run_module("blockfec.cli", run_name="__main__")
+        except SystemExit as done:
+            print(done.code, "numpy" in sys.modules, file=sys.stderr)
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stderr.split() == ["0", "False"]

@@ -274,6 +274,15 @@ def test_duplicate_erasures_are_merged(name):
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_a_word_that_is_no_sequence_raises_a_fec_error(name):
+    built = build(CASES[name][0])
+    for code in (built, built.code):
+        for word in (None, 5):
+            with pytest.raises(LengthMismatch):
+                code.decode(word)
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_non_integer_input_raises_a_fec_error(name):
     built = build(CASES[name][0])
     n, k = built.n, built.k
