@@ -10,14 +10,15 @@ when p is a Fraction.
 and noise from a counter-based Philox stream and decodes each batch on
 a batch codec, numpy over the batch, or on the loop, which calls the
 decoder once per trial; both see the same draws.  One rule picks the
-path.  A StandardArray decoder runs on its array codec.  A code's own
-`decode` (of the code or of a BuiltCode of it) runs on its family's
-codec, `code.batch_codec()`: the lookup tables of the radius array for
-Golay, Hamming and binary BCH codes, `BatchCoder` for a GF(2^m)
-Reed-Solomon code.  Every other decoder runs on the loop: a function
-wrapping `code.decode`, which the tests use as the oracle, and the
-decoder of a family with no codec or of a code whose class, object, or
-any library function has been replaced since import
+path.  A StandardArray decoder runs on its array codec, built once per
+array and detect policy and kept while the array lives, so a sweep over
+p builds it once.  A code's own `decode` (of the code or of a BuiltCode
+of it) runs on its family's codec, `code.batch_codec()`: the lookup
+tables of the radius array for Golay, Hamming and binary BCH codes,
+`BatchCoder` for a GF(2^m) Reed-Solomon code.  Every other decoder runs
+on the loop: a function wrapping `code.decode`, which the tests use as
+the oracle, and the decoder of a family with no codec or of a code whose
+class, object, or any library function has been replaced since import
 (`linear.runs_own_decoders`).
 
 The codecs rest on one fact.  These decoders emit the codeword within
@@ -33,6 +34,7 @@ numpy is imported inside `monte_carlo`, so importing the package, or
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -40,6 +42,8 @@ from numbers import Integral
 from .linear import ArrayCodec, LinearCode, StandardArray, _in_alphabet, hamming_weight
 
 _PHILOX_BATCH = 1 << 16
+# StandardArray -> {frozenset of detect rows: its ArrayCodec}
+_ARRAY_CODECS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def capacity(p: float) -> float:
     return 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
 
 
-def _detect_rows(array: StandardArray, detect_syndromes) -> set:
+def _detect_rows(array: StandardArray, detect_syndromes) -> frozenset:
     """The array rows of a detect-only syndrome policy; ValueError for
     a syndrome the array lacks and for the code row's zero syndrome.  A
     syndrome that a radius array leaves without a leader is detected
@@ -121,7 +125,7 @@ def _detect_rows(array: StandardArray, detect_syndromes) -> set:
         if row == 0:
             raise ValueError("the code row cannot be detect-only")
         rows.add(row)
-    return rows
+    return frozenset(rows)
 
 
 def event_polynomials(
@@ -199,13 +203,15 @@ def monte_carlo(
     Batch b of up to 2^16 trials draws from a Philox stream keyed by
     `seed` with counter b, in this order: the messages (uniform over
     `code.subfield`), the noise mask (each symbol hit with probability
-    p) and the noise values (uniform nonzero symbols).  A StandardArray
-    `decoder` decodes a binary code by table lookups and honours
-    `detect_syndromes`; the code's own `decode` runs on
-    `code.batch_codec()` when the family gives one, with the results of
-    the loop (see the module docstring); any other callable word ->
-    DecodeOutcome is called once per trial.  Rejected words and
-    uncorrectable verdicts count as detections.
+    p) and, over a larger alphabet than {0, 1}, the noise values
+    (uniform nonzero symbols).  A hit binary symbol is flipped and draws
+    no value; the values are each batch's last draw, so every other draw
+    is as it would be with them.  A StandardArray `decoder` decodes a
+    binary code by table lookups and honours `detect_syndromes`; the
+    code's own `decode` runs on `code.batch_codec()` when the family
+    gives one, with the results of the loop (see the module docstring);
+    any other callable word -> DecodeOutcome is called once per trial.
+    Rejected words and uncorrectable verdicts count as detections.
     """
     import numpy as np
 
@@ -216,7 +222,11 @@ def monte_carlo(
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if isinstance(decoder, StandardArray):
-        codec = ArrayCodec(decoder, _detect_rows(decoder, detect_syndromes))
+        rows = _detect_rows(decoder, detect_syndromes)
+        codecs = _ARRAY_CODECS.setdefault(decoder, {})
+        if rows not in codecs:
+            codecs[rows] = ArrayCodec(decoder, rows)
+        codec = codecs[rows]
     elif detect_syndromes:
         raise ValueError("a detect policy needs a StandardArray decoder")
     else:
@@ -234,8 +244,9 @@ def monte_carlo(
             np.random.Philox(key=seed, counter=[0, 0, 0, batch_index])
         )
         messages = alphabet[rng.integers(0, q, size=(batch, k))]
-        noise_mask = rng.random((batch, n)) < p
-        noise = np.where(noise_mask, alphabet[rng.integers(1, q, size=(batch, n))], 0)
+        hit = rng.random((batch, n)) < p
+        noise = (hit.view(alphabet.dtype) if q == 2 else
+                 np.where(hit, alphabet[rng.integers(1, q, size=(batch, n))], 0))
         if codec is None:   # the loop
             detected, info = [], []
             for u, e in zip(messages.tolist(), noise.tolist()):

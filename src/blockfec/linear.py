@@ -730,7 +730,23 @@ class ArrayCodec:
     of the rows of a numpy array by syndrome -> leader and syndrome ->
     verdict tables.  It rejects the words of `detect_rows` and those a
     radius array leaves without a leader.  It holds numpy tables, not the
-    code.  uint8 products wrap mod 256, which keeps their parity."""
+    code.
+
+    Its three GF(2)-linear maps, encode (message -> codeword), the
+    syndrome (word -> leader-table index) and info (codeword ->
+    message), are read from byte tables.  A row of a bits is packed
+    eight to a byte, its first bit the high bit, as `np.packbits` packs,
+    with the last byte zero-padded.  The table of a map holds, for each
+    input byte j and each value v, the image of that byte alone: the
+    XOR of the matrix rows 8j + i for each set bit i of v.  A row's
+    image is the XOR of its ceil(a/8) entries.  A codeword or message
+    image of b bits is held packed in ceil(b/64) uint64 lanes, so that
+    viewing the lanes as bytes and `np.unpackbits` give the bits back; a
+    syndrome image is the leader-table index itself.  The leaders are
+    held packed as well, so one XOR of bytes corrects a word.  Tables
+    replace matrix products over the batch because numpy's integer
+    matmul has no BLAS path: a product costs a·b multiply-adds per row,
+    a table ceil(a/8) gathers."""
 
     def __init__(self, array: StandardArray, detect_rows=()):
         import numpy as np
@@ -739,28 +755,85 @@ class ArrayCodec:
         if code.field.q != 2:
             raise TooLarge("the standard-array codec supports binary codes only")
         n, k = code.n, code.k
-        self.G = np.array(code.G.rows, dtype=np.uint8)
-        self.Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
-        self.weights = 1 << np.arange(n - k - 1, -1, -1)   # syndrome bits -> index
-        index = (np.array(array.leaders) @ self.Ht & 1) @ self.weights
-        self.leader = np.zeros((1 << (n - k), n), dtype=np.uint8)
+        pivots, inv = code.pivot_inverse()
+        unencode = np.zeros((n, k), dtype=np.uint8)   # u = codeword @ unencode
+        unencode[list(pivots)] = inv.rows
+        self.n, self.k = n, k
+        self.enc = self._lanes(np.array(code.G.rows, dtype=np.uint8))
+        self.unenc = self._lanes(unencode)
+        Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
+        # syndrome bits -> index, first bit highest
+        self.syndrome = self._images(Ht) @ (1 << np.arange(n - k - 1, -1, -1))
+        leaders = self._pack(np.array(array.leaders, dtype=np.uint8))
+        index = self._lookup(self.syndrome, leaders)
+        self.leader = np.zeros((1 << (n - k), leaders.shape[1]), dtype=np.uint8)
         self.ok = np.zeros(1 << (n - k), dtype=bool)
-        self.leader[index], self.ok[index] = array.leaders, True
+        self.leader[index], self.ok[index] = leaders, True
         detect = index[list(detect_rows)]
         self.ok[detect], self.leader[detect] = False, 0
-        pivots, inv = code.pivot_inverse()
-        self.pivots, self.inv = list(pivots), np.array(inv.rows, dtype=np.uint8)
+
+    @staticmethod
+    def _pack(bits):
+        """The (B, a) 0/1 rows packed: (B, ceil(a/8)) uint8."""
+        import numpy as np
+
+        rows, a = bits.shape
+        padded = np.zeros((rows, -(-a // 8) * 8), dtype=np.uint8)
+        padded[:, :a] = bits
+        # packing the flat array is many times faster than along axis 1
+        return np.packbits(padded.reshape(-1)).reshape(rows, -1)
+
+    @staticmethod
+    def _images(matrix):
+        """The byte images of an (a, b) 0/1 matrix: (ceil(a/8), 256, b)
+        uint8, entry [j, v] the XOR of its rows 8j + i for each bit i of
+        v, counted from the high bit."""
+        import numpy as np
+
+        a, b = matrix.shape
+        padded = np.zeros((-(-a // 8) * 8, b), dtype=np.uint8)
+        padded[:a] = matrix
+        byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        return byte_bits @ padded.reshape(len(padded) // 8, 8, b) & 1
+
+    @classmethod
+    def _lanes(cls, matrix):
+        """The byte images of `matrix`, each packed into ceil(b/64) uint64
+        lanes: (ceil(a/8), 256, ceil(b/64)) uint64."""
+        import numpy as np
+
+        images = cls._images(matrix)
+        b = images.shape[2]
+        lanes = np.zeros(images.shape[:2] + (-(-b // 64) * 8,), dtype=np.uint8)
+        lanes[..., :-(-b // 8)] = np.packbits(images, axis=2)
+        return lanes.view(np.uint64)
+
+    @staticmethod
+    def _lookup(table, packed):
+        """The image of each packed row: the XOR of table[j, byte j]."""
+        image = table[0].take(packed[:, 0], axis=0)
+        for j in range(1, len(table)):
+            image ^= table[j].take(packed[:, j], axis=0)
+        return image
+
+    @staticmethod
+    def _unpack(lanes, b):
+        """The first b bits of each row of packed lanes, a (B, b) view."""
+        import numpy as np
+
+        return np.unpackbits(lanes.view(np.uint8).reshape(-1)).reshape(len(lanes), -1)[:, :b]
 
     def encode(self, messages):
-        return messages @ self.G & 1
+        return self._unpack(self._lookup(self.enc, self._pack(messages)), self.n)
 
     def decode(self, words):
         """(ok, codewords), as `RSCode.decode_batch` returns them."""
-        syndrome = (words @ self.Ht & 1) @ self.weights
-        return self.ok[syndrome], words ^ self.leader[syndrome]
+        packed = self._pack(words)
+        index = self._lookup(self.syndrome, packed)
+        return self.ok[index], self._unpack(packed ^ self.leader.take(index, axis=0), self.n)
 
     def info(self, codewords):
-        return codewords[:, self.pivots] @ self.inv & 1
+        return self._unpack(self._lookup(self.unenc, self._pack(codewords)), self.k)
 
 
 _RADIUS_CODECS = weakref.WeakKeyDictionary()

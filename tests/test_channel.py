@@ -340,6 +340,104 @@ def test_own_decoder_takes_the_radius_array_kernel(name, p, codec_calls):
         assert codec_calls == ["ArrayCodec"] * 2
 
 
+BIG_RADIUS_SPECS = {
+    "hamming127_120": "hamming:r=7",   # two uint64 lanes per codeword
+    "bch63_45": "bch:field=GF(2^6),sub=2,d=7",   # 18 syndrome bits over 8 bytes
+}
+
+
+@pytest.fixture(scope="module")
+def big_radius_codes():
+    return {name: build(spec).code for name, spec in BIG_RADIUS_SPECS.items()}
+
+
+@pytest.mark.parametrize("p", [0.02, 0.05])
+@pytest.mark.parametrize("name", BIG_RADIUS_SPECS)
+def test_long_codes_take_the_radius_array_kernel(name, p, big_radius_codes, codec_calls):
+    # longer words than above, one past a single uint64 lane; their
+    # scalar decoders are slow, so fewer trials
+    code = big_radius_codes[name]
+    scalar = monte_carlo(code, lambda w: code.decode(w), p, 1_000, seed=4)
+    assert not codec_calls
+    assert scalar["P_err_hat"] + scalar["P_det_hat"] > 0
+    assert monte_carlo(code, code.decode, p, 1_000, seed=4) == scalar
+    assert codec_calls == ["ArrayCodec"]
+
+
+def _pinned_70k(*values):
+    return {**_pinned(*values), "trials": 70_000, "seed": 10}
+
+
+# recorded while the binary codes still drew a noise value for each hit
+# symbol, always 1; 70 000 trials span two Philox batches
+BINARY_PINS = [
+    ("hamming15_array", 0.01, _pinned_70k(
+        0.009557142857142858, 0.0, 0.0019142857142857143,
+        0.00036773056669156605, 0.0, 4.9812912638904814e-05)),
+    ("hamming15_array", 0.2, _pinned_70k(
+        0.8330285714285715, 0.0, 0.22805714285714285,
+        0.0014096198606729042, 0.0, 0.0004781553875144192)),
+    ("golay24", 0.01, _pinned_70k(
+        0.0, 0.00012857142857142858, 0.0,
+        0.0, 4.2854387666539495e-05, 0.0)),
+    ("golay24", 0.2, _pinned_70k(
+        0.359, 0.38221428571428573, 0.12158333333333333,
+        0.001813122799402811, 0.0018366371657780425, 0.0003565723502168297)),
+    ("bch15_5", 0.01, _pinned_70k(
+        2.857142857142857e-05, 2.857142857142857e-05, 8.571428571428571e-06,
+        2.0202762273969922e-05, 2.0202762273969922e-05, 4.948695384223088e-06)),
+    ("bch15_5", 0.2, _pinned_70k(
+        0.1487857142857143, 0.20218571428571427, 0.07152,
+        0.001345089086323197, 0.0015180186862415184, 0.0004355780710733726)),
+]
+
+
+@pytest.mark.parametrize("name,p,expected", BINARY_PINS)
+def test_binary_codes_draw_no_noise_values(name, p, expected):
+    if name == "hamming15_array":
+        code = HammingCode(4).code
+        decoder = StandardArray(code)
+    else:
+        code = build(RADIUS_SPECS[name]).code
+        decoder = code.decode
+    assert monte_carlo(code, decoder, p, 70_000, seed=10) == expected
+
+
+def test_array_codec_is_built_once_per_array_and_detect_policy(gf2, monkeypatch):
+    built = []
+
+    def counted(self, array, detect_rows=(), init=linear.ArrayCodec.__init__):
+        built.append(frozenset(detect_rows))
+        init(self, array, detect_rows)
+
+    monkeypatch.setattr(linear.ArrayCodec, "__init__", counted)
+    code = LinearCode.from_parity(gf2, H6)
+    array = StandardArray(code)
+    ps = (0.01, 0.05, 0.2)
+    sweep = [monte_carlo(code, array, p, 3_000, seed=6) for p in ps]
+    assert len(built) == 1
+    detect = {array.syndromes[-1]}
+    policy = monte_carlo(code, array, 0.2, 3_000, seed=6, detect_syndromes=detect)
+    assert len(built) == 2 and built[1] != built[0]
+    assert monte_carlo(code, array, 0.2, 3_000, seed=6, detect_syndromes=detect) == policy
+    assert monte_carlo(code, array, 0.2, 3_000, seed=6) == sweep[-1]
+    assert len(built) == 2
+    # a new array of the same code builds fresh codecs with the same results
+    fresh = StandardArray(code)
+    assert [monte_carlo(code, fresh, p, 3_000, seed=6) for p in ps] == sweep
+    assert monte_carlo(code, fresh, 0.2, 3_000, seed=6, detect_syndromes=detect) == policy
+    assert len(built) == 4
+    assert policy != sweep[-1]
+
+
+def test_array_kernel_on_a_code_without_parity(gf2):
+    # n = k: no syndrome bits, one leader, every word a codeword
+    code = LinearCode.from_generator(gf2, [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
+    mc = monte_carlo(code, StandardArray(code), 0.1, 2_000, seed=3)
+    assert mc == monte_carlo(code, code.decode, 0.1, 2_000, seed=3)
+    assert mc["P_err_hat"] > 0 and mc["P_det_hat"] == 0
+
+
 # -- a GF(2^m) RS code's own decoder on the batch kernel ------------------------
 
 RS_SPECS = {
