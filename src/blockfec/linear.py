@@ -480,6 +480,8 @@ class LinearCode:
             pivots, _ = _gauss_jordan(f, rows, n)
             inv = MatrixGF(f, [row[n:] for row in rows])
             self._pivot_solver = (tuple(pivots), inv)
+            # a systematic generator's inv: its pivot symbols are u
+            self._pivots_are_message = inv == MatrixGF.identity(f, self.k)
         return self._pivot_solver
 
     def message_of(self, codeword):
@@ -489,7 +491,8 @@ class LinearCode:
     def _message_of(self, codeword):
         # the pivot read of `message_of`, for a codeword a decoder built
         pivots, inv = self.pivot_inverse()
-        return inv.mul_vec(tuple(codeword[p] for p in pivots))
+        u = tuple(codeword[p] for p in pivots)
+        return u if self._pivots_are_message else inv.mul_vec(u)
 
     # -- enumeration ------------------------------------------------------
 
@@ -623,29 +626,44 @@ def _patterns(f, Ht: MatrixGF, radius: int):
     """Every vector of length n (the rows of Ht) and weight at most
     `radius` with its syndrome, by increasing weight and, within a
     weight, in increasing order of the reversed coordinates: the last
-    position is the most significant.  The syndrome is built up with the
-    vector, one nonzero symbol at a time."""
+    position is the most significant.
+
+    So a vector of weight w is read as its nonzero (position, symbol)
+    pairs, top position first, and the vectors follow in lexicographic
+    order of those pairs, which an odometer over the w pairs steps
+    through: the lowest pair that can still grow moves to the next
+    symbol, or to the next free position with symbol 1, and the pairs
+    below it restart at positions w - 2 - i .. 0.  Pair i keeps the
+    syndrome of pairs 0 .. i, so a step recomputes those from the pair
+    it moved."""
     add = xor if f.p == 2 else f.add
     terms = [[tuple(f.mul(a, y) for y in row) for a in f.elements()]
              for row in Ht.rows]
+    n, last = len(Ht.rows), f.q - 1
     zero = (0,) * Ht.shape[1]
-
-    def level(m, w):
-        # the vectors of length m and weight w; a zero in position
-        # m - 1 sorts first
-        if w == 0:
-            yield (0,) * m, zero
-            return
-        if m > w:
-            for head, s in level(m - 1, w):
-                yield head + (0,), s
-        for a in f.nonzero():
-            term = terms[m - 1][a]
-            for head, s in level(m - 1, w - 1):
-                yield head + (a,), tuple(map(add, s, term))
-
-    for w in range(radius + 1):
-        yield from level(len(Ht.rows), w)
+    yield (0,) * n, zero
+    for w in range(1, min(radius, n) + 1):
+        at, symbol, syndrome = list(range(w - 1, -1, -1)), [1] * w, [zero] * w
+        moved = 0
+        while moved >= 0:
+            for i in range(moved, w):
+                below = syndrome[i - 1] if i else zero
+                syndrome[i] = tuple(map(add, below, terms[at[i]][symbol[i]]))
+            v = [0] * n
+            for p, a in zip(at, symbol):
+                v[p] = a
+            yield tuple(v), syndrome[-1]
+            moved = w - 1
+            while moved >= 0:
+                if symbol[moved] < last:
+                    symbol[moved] += 1
+                    break
+                if at[moved] + 1 < (at[moved - 1] if moved else n):
+                    at[moved], symbol[moved] = at[moved] + 1, 1
+                    break
+                moved -= 1
+            for i in range(moved + 1, w):
+                at[i], symbol[i] = w - 1 - i, 1
 
 
 class StandardArray:

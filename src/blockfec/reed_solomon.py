@@ -78,14 +78,17 @@ first backend alone, so building a code and coding with a small one
 never touch numpy.
 
 A GF(2^m) code also decodes a batch of erasure-free words at once:
-`decode_batch` runs `BatchCoder`, numpy over the whole batch.  It reads
-the same log matrices, copied on first use and cut to the transmitted
-positions, gathers through the numpy backend's kernel, and solves the
-key equation by inversionless Berlekamp-Massey in lockstep.  Its
-verdicts and codewords are those of `decode` with either solver (see
-`BatchCoder`), so it is the code's `batch_codec` while nothing the
-library runs has been replaced since import (`linear.runs_own_decoders`).
-It imports numpy when first used, as the gathered backend does.
+`decode_batch` runs `BatchCoder`, numpy over the whole batch.  It turns
+the syndrome and parity log matrices, cut to the transmitted positions,
+into packed tables (one uint64 entry per position and symbol, unless
+that exceeds BATCH_WORK), solves the key equation by the reformulated
+inversionless Berlekamp-Massey algorithm in lockstep, which yields the
+locator and the evaluator together, and runs Forney and the re-check at
+the roots alone.  Its verdicts and codewords are those of `decode` with
+either solver (see `BatchCoder`), so it is the code's `batch_codec`
+while nothing the library runs has been replaced since import
+(`linear.runs_own_decoders`).  It imports numpy when first used, as the
+gathered backend does.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ MEMO_CAP = 1 << 12
 # higher, so that codes up to RS(15,9) decode without numpy
 VECTOR_WORK = 256
 # a batch decodes in chunks of BATCH_WORK // (n(n - k)) words, so that
-# its largest temporaries hold about BATCH_WORK entries
+# its largest temporaries hold about BATCH_WORK entries; a batch codec
+# packs its tables while they hold at most BATCH_WORK lanes
 BATCH_WORK = 1 << 20
 
 
@@ -546,28 +550,54 @@ class RSCode:
 
 class BatchCoder:
     """Systematic encoding and erasure-free decoding of a batch of words
-    of a GF(2^m) RS code, in numpy over the whole batch.
+    of a GF(2^m) RS code, in numpy over the whole batch, each stage a few
+    numpy calls over a chunk of BATCH_WORK // (n(n-k)) words.
 
-    The tables are numpy copies of the code's log matrices, cut to the
-    transmitted positions, and the field's padded exp and log tables of
-    `gather_eval`.  A product is exp[log a + log b] and a sum is an XOR;
-    the encoder and the syndromes are one `_log_matvec` each, the kernel
-    of `gather_eval`'s numpy backend.  A batch goes in chunks of
-    BATCH_WORK // (n(n-k)) words, so no temporary grows with the batch.
+    Packed tables (after Plank, Greenan & Miller 2013).  The syndromes
+    and the parity are fixed GF(2)-linear maps of the word.  Entry
+    [i, a] of a map's table holds the n - k symbols that symbol a at
+    position i adds to the output, packed floor(64/m) symbols to a
+    uint64 lane: output j sits in lane j // floor(64/m), at bit
+    m (j mod floor(64/m)), so no symbol straddles two lanes.  A word's
+    syndromes are one `take` of its n entries and one XOR reduce; a zero
+    packed row is a codeword, and only the other rows are unpacked.  The
+    table holds n q lanes entries.  A code whose n q lanes exceeds
+    BATCH_WORK (a long code over a large field) keeps the log matrices
+    of `gather_eval` in its place, and takes the same images as
+    exp[log M[i] + log a], one symbol to a lane.
 
-    The decoder takes the syndromes of each word; a word whose syndromes
-    are all zero is a codeword and is emitted as it is.  On the others
-    it runs n - k steps of inversionless Berlekamp-Massey (Massey 1969;
-    Sarwate & Shanbhag 2001) in lockstep, with masked updates: no step
-    divides, and the locator comes out up to a nonzero scalar, which
-    cancels in the Forney ratio.  The Chien search tries the transmitted
-    positions only, and one pass yields the locator's even and odd parts;
-    the odd part at X^-1 is X^-1 Lambda'(X^-1), so an error value is
-    Omega(X^-1) X^(-m0) / odd(X^-1), its exponent reduced mod q - 1.  A
-    word is corrected only if its LFSR length L is at most t, deg Lambda
-    = L, the search finds L roots, and the corrected word's syndromes
-    are all zero; a root in the shortened block is not searched, so such
-    a word is rejected, as `decode` rejects an error there.
+    Key equation: the reformulated inversionless Berlekamp-Massey
+    algorithm (riBM; Sarwate & Shanbhag 2001), n - k lockstep steps with
+    no division.  After step r, delta holds the coefficients r and up of
+    Lambda (S + x^(n-k+t)), shifted down by r, and theta the same for
+    the shift register B.  It tracks kappa = r - 2L in place of the
+    register length L: the register grows when delta_0 is nonzero and
+    kappa >= 0.  After the last step delta_t .. delta_2t hold Lambda, up
+    to a nonzero scalar, and delta_0 .. delta_(t-1) the high part
+    Omega^h of Lambda S, scaled alike, whenever L <= t: Lambda S then
+    has degree below n - k + t, clear of the copy of Lambda above it.
+    So no stage computes Omega.
+
+    Forney from the high part.  For Lambda = prod (1 - X_l x) and S_j =
+    sum Y_l X_l^(m0+j), summing each geometric series gives
+
+        Lambda S = sum_l Y_l X_l^m0 (1 - (X_l x)^(n-k)) prod_(i!=l) (1 - X_i x),
+
+    so Omega^h = -sum_l Y_l X_l^(m0+n-k) prod_(i!=l) (1 - X_i x), and at
+    a root X_j^-1 it is -Y_j X_j^(m0+n-k) prod_(i!=j) (1 - X_i / X_j).
+    In characteristic 2 the odd part of Lambda is x Lambda'(x), which
+    at X_j^-1 is -prod_(i!=j) (1 - X_i / X_j); hence
+    Y_j = Omega^h(X_j^-1) X_j^-(m0+n-k) / odd(X_j^-1), in which the
+    scalar cancels.  The Chien search tries the transmitted positions
+    only, splitting Lambda into its even and odd parts; Forney runs at
+    the roots it found, taken by `np.nonzero`.
+
+    A word is corrected only if Lambda has L = (n - k - kappa) / 2 roots
+    (so L <= t: a nonzero Lambda of degree at most t has at most t roots,
+    and a zero one n, more than n - k) and the packed syndrome images of its
+    error values at those roots XOR to its packed syndromes.  A root in
+    the shortened block is not searched, so such a word is rejected, as
+    `decode` rejects an error there.
 
     Why the verdicts and codewords are those of `decode`, with either
     solver: both scalar solvers are bounded-distance decoders.  They
@@ -578,8 +608,7 @@ class BatchCoder:
     LFSR of the n - k syndromes, which Berlekamp-Massey finds, and the
     checks above pass; when it does not, no error vector with at most t
     positions passes the re-check.  So this decoder emits the same
-    codeword on the same words.  Omega is kept to its first t
-    coefficients: a word that passes has deg Omega < L <= t.
+    codeword on the same words.
     """
 
     def __init__(self, code: RSCode):
@@ -587,23 +616,61 @@ class BatchCoder:
 
         f = code.field
         self.order = order = f.q - 1
+        self.q = f.q
         self.n, self.k, self.nk, self.t = code.n, code.k, code.n - code.k, code.radius
+        nk, t = self.nk, self.t
         self.exp, self.log = _gather_tables(f)
         self.dtype = self.exp.dtype
         # the transmitted positions in full-length indexing
         sent = list(range(code.k)) + list(range(code._full_k, code._full_n))
-        self.syndrome = np.asarray(code._syndrome_logs, dtype=np.intp)[:, sent]
+        self.at = np.arange(self.n)[:, None]
+        # symbol j of an image in lane j // per, at bit m (j % per)
+        per = 64 // f.nu
+        self.packed = self.n * f.q * -(-nk // per) <= BATCH_WORK
+        per = per if self.packed else 1
+        self.lane = np.arange(nk) // per
+        self.shift = (f.nu * (np.arange(nk) % per)).astype(np.uint64)[:, None]
+        self.mask = np.uint64(order)
+        self.syndrome = self._table(np.asarray(code._syndrome_logs, dtype=np.intp)[:, sent].T)
+        self.parity = self._table(np.asarray(code._parity_logs, dtype=np.intp).T)
         chien = np.asarray(code._chien_logs, dtype=np.intp)[sent]
-        self.chien = chien[:, :self.t + 1]
-        self.parity = np.asarray(code._parity_logs, dtype=np.intp)
-        # log X^(-m0) = m0 log X^-1 at each transmitted position X
-        self.forney_shift = code.m0 * chien[:, 1] % order
-        # Omega_j sums Lambda_l S_(j-l) over l <= j; index n - k reads a
-        # zero appended to S
-        self.omega_index = np.array([[j - l if l <= j else self.nk
-                                      for l in range(self.t)] for j in range(self.t)],
-                                    dtype=np.intp).reshape(self.t, self.t)
-        self.chunk = max(1, BATCH_WORK // (code.n * self.nk))
+        # log X^-l for l <= t, a row per l, a column per position X
+        self.chien = chien[:, :t + 1].T[:, None, :].copy()
+        # log X^-(m0+n-k+l) for l < t: the term of Omega^h_l
+        self.forney = (np.arange(t)[:, None] + code.m0 + nk) * chien[:, 1] % order
+        # riBM's first state, a column per word: delta in half 0; gamma,
+        # then theta one place up, in half 1.  S goes in below the ones
+        self.start = np.full((2, nk + t + 2, 1), self.log[0])
+        self.start[0, nk + t] = self.start[1, 0] = self.start[1, nk + t + 1] = 0
+        self.chunk = max(1, BATCH_WORK // (code.n * nk))
+
+    def _table(self, logs):
+        """The packed table of the map with log matrix `logs` (row i: the
+        logs of what position i adds to each output), flat over (i, a);
+        `logs` itself when the code is not packed."""
+        import numpy as np
+
+        if not self.packed:
+            return logs
+        lanes = self.lane[-1] + 1
+        table = np.empty((len(logs) * self.q, lanes), dtype=np.uint64)
+        la = self.log[np.arange(self.q)][:, None]
+        for lane in range(lanes):
+            out = self.lane == lane
+            images = self.exp[logs[:, None, out] + la].astype(np.uint64) << self.shift[out, 0]
+            table[:, lane] = np.bitwise_or.reduce(images, axis=2).ravel()
+        return table
+
+    def _images(self, table, at, values):
+        """The images of the symbols `values` at positions `at` under the
+        map of `table`, a row of lanes each."""
+        if self.packed:
+            return table.take(at * self.q + values, axis=0)
+        return self.exp[table.take(at, axis=0) + self.log[values][..., None]]
+
+    def _unpack(self, lanes):
+        """The n - k symbols packed in each row of lanes, a column each."""
+        return (lanes.T.take(self.lane, axis=0) >> self.shift) & self.mask
 
     def _chunks(self, size: int):
         return (slice(s, s + self.chunk) for s in range(0, size, self.chunk))
@@ -616,7 +683,8 @@ class BatchCoder:
         out = np.empty((len(messages), self.n), dtype=self.dtype)
         out[:, :self.k] = messages
         for s in self._chunks(len(messages)):
-            out[s, self.k:] = _log_matvec(self.exp, self.log, self.parity, messages[s])
+            parity = self._images(self.parity, self.at[:self.k], messages[s].T)
+            out[s, self.k:] = self._unpack(np.bitwise_xor.reduce(parity, axis=0)).T
         return out
 
     def decode(self, words):
@@ -633,77 +701,73 @@ class BatchCoder:
         out = words.astype(self.dtype)
         ok = np.ones(len(words), dtype=bool)
         for s in self._chunks(len(words)):
-            S = _log_matvec(self.exp, self.log, self.syndrome, out[s])
+            S = np.bitwise_xor.reduce(self._images(self.syndrome, self.at, out[s].T), axis=0)
             rows = np.flatnonzero(S.any(axis=1))
             if rows.size:
-                good, errors = self._errors(S[rows])
+                good, which, at, values = self._errors(S.take(rows, axis=0))
                 rows += s.start
                 ok[rows] = good
-                out[rows] ^= errors
+                out[rows.take(which), at] ^= values
         return ok, out
 
     def info(self, codewords):
         return codewords[:, :self.k]
 
     def _errors(self, S):
-        """(ok, error values) of the words with the nonzero syndromes S;
-        the error values of a rejected word are zero."""
+        """(ok, rows, positions, values) for the words with the nonzero
+        packed syndromes S: the verdicts, and one entry per root of the
+        words that passed the root count, its error value zeroed where the
+        re-check failed."""
         import numpy as np
 
-        exp, log, nk, t = self.exp, self.log, self.nk, self.t
-        m, zero = len(S), log[0]
-        lS = log[S]
-        # Lambda as symbols, B and gamma as logs
-        lam = np.zeros((m, nk + 1), dtype=self.dtype)
-        lam[:, 0] = 1
-        lB = np.full((m, nk + 1), zero)
-        lB[:, 0] = 0
-        zeros = np.full((m, 1), zero)
-        lgamma = np.zeros(m, dtype=log.dtype)
-        L = np.zeros(m, dtype=np.intp)
-        for r in range(nk):
-            lL = log[lam]
-            delta = np.bitwise_xor.reduce(exp[lL[:, :r + 1] + lS[:, r::-1]], axis=1)
-            ldelta = log[delta]
-            # x B: deg B <= n - k - 1 here, so no coefficient is lost
-            lxB = np.concatenate([zeros, lB[:, :-1]], axis=1)
-            lam = exp[lgamma[:, None] + lL] ^ exp[ldelta[:, None] + lxB]
-            grow = (delta != 0) & (2 * L <= r)
-            lB = np.where(grow[:, None], lL, lxB)
-            L = np.where(grow, r + 1 - L, L)
-            lgamma = np.where(grow, ldelta, lgamma)
+        exp, log, t = self.exp, self.log, self.t
+        delta, kappa = self._ribm(log[self._unpack(S)])
+        # the Chien search: Lambda's even and odd parts at each position
+        terms = exp[self.chien + delta[t:2 * t + 1, :, None]]
+        odd = np.bitwise_xor.reduce(terms[1::2], axis=0)
+        root = np.bitwise_xor.reduce(terms[0::2], axis=0) == odd
+        # the root count: Lambda has L roots
+        L = (self.nk - kappa) >> 1
+        kept = np.flatnonzero(root.sum(axis=1) == L)
+        rows, at = np.nonzero(root.take(kept, axis=0))
+        rows = kept.take(rows)
+        # Forney; odd is nonzero at the L distinct roots of a kept word,
+        # and a zero Omega^h value reads the zero tail of exp
+        terms = self.forney.take(at, axis=1) + delta[:t].take(rows, axis=1)
+        num = np.bitwise_xor.reduce(exp[terms], axis=0)
+        values = exp[log[num] - log[odd[rows, at]] + self.order]
+        # the re-check at the roots: a kept word's L errors are consecutive
+        counts = L.take(kept)
+        check = np.bitwise_xor.reduceat(self._images(self.syndrome, at, values),
+                                        np.cumsum(counts) - counts, axis=0)
+        ok = np.zeros(len(S), dtype=bool)
+        ok[kept] = (check == S.take(kept, axis=0)).all(axis=1)
+        values *= ok.take(rows)
+        return ok, rows, at, values
 
-        # deg Lambda = L <= t, so the search reads t + 1 coefficients
-        degree = nk - np.argmax(lam[:, ::-1] != 0, axis=1)
-        ok = (L <= t) & (degree == L)
-        rows = np.flatnonzero(ok)
-        lL = log[lam[rows, :t + 1]]
-        terms = exp[self.chien + lL[:, None, :]]
-        odd = np.bitwise_xor.reduce(terms[:, :, 1::2], axis=2)
-        root = np.bitwise_xor.reduce(terms[:, :, 0::2], axis=2) == odd
-        ok[rows] = root.sum(axis=1) == L[rows]
-        keep = ok[rows]
-        rows, lL, odd, root = rows[keep], lL[keep], odd[keep], root[keep]
-        # each word left has L <= t roots: move them into t slots, padded
-        # with positions that are no roots
-        at = np.argsort(~root, axis=1, kind="stable")[:, :t]
+    def _ribm(self, lS):
+        """riBM over the syndrome logs lS, a column per word: the logs of
+        the last delta (Omega^h in rows 0 .. t-1, Lambda in t .. 2t when
+        L <= t) and kappa = n - k - 2L.  The state's second half holds
+        gamma, then theta one place up, so a step multiplies the state's
+        tail by (gamma, delta_0), its first row reversed, and XORs the
+        two halves."""
+        import numpy as np
 
-        lS = np.concatenate([lS[rows], np.full((len(rows), 1), zero)], axis=1)
-        omega = np.bitwise_xor.reduce(
-            exp[lL[:, None, :t] + lS[:, self.omega_index]], axis=2)
-        num = np.bitwise_xor.reduce(
-            exp[self.chien[at, :t] + log[omega][:, None, :]], axis=2)
-        # in a padding slot log odd may exceed the rest and wrap; masked below
-        lvalue = (log[num] + self.forney_shift[at] + self.order
-                  - log[np.take_along_axis(odd, at, axis=1)]) % self.order
-        e = np.where(np.take_along_axis(root, at, axis=1) & (num != 0), exp[lvalue], 0)
-        # the re-check: the syndromes of the error values are S
-        check = np.bitwise_xor.reduce(
-            exp[self.syndrome.T[at] + log[e][:, :, None]], axis=1)
-        ok[rows] = (check == S[rows]).all(axis=1)
-        errors = np.zeros((m, self.n), dtype=self.dtype)
-        errors[rows[:, None], at] = np.where(ok[rows, None], e, 0)
-        return ok, errors
+        exp, log, nk, order = self.exp, self.log, self.nk, self.order
+        state = np.repeat(self.start, lS.shape[1], axis=2)
+        state[0, :nk] = state[1, 1:nk + 1] = lS
+        delta, theta, factors = state[0], state[1], state[::-1, :1]
+        kappa = np.zeros(lS.shape[1], dtype=np.intp)
+        for _ in range(nk):
+            grow = (delta[0] < order) & (kappa >= 0)
+            products = exp[state[:, 1:] + factors]
+            np.copyto(theta, delta, where=grow)
+            # symbols index log in range; "clip" skips take's buffering
+            np.take(log, products[0] ^ products[1], out=delta[:-1], mode="clip")
+            kappa += 1
+            np.negative(kappa, out=kappa, where=grow)
+        return delta[:-1], kappa
 
 
 @lru_cache(maxsize=None)

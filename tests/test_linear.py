@@ -705,3 +705,58 @@ def test_codebook_lists_the_encoder_output_in_message_order(p, nu):
         encoded = [c for _, c in code.codewords()]
         assert [tuple(row) for row in code.codebook().tolist()] == encoded
         assert code.min_distance() == min(hamming_weight(c) for c in encoded[1:])
+
+
+def _recursive_patterns(f, Ht, radius):
+    """The recursive search order that `linear._patterns` keeps, frozen:
+    each level peels off the last position, a zero there sorting first."""
+    add = (lambda a, b: a ^ b) if f.p == 2 else f.add
+    terms = [[tuple(f.mul(a, y) for y in row) for a in f.elements()] for row in Ht.rows]
+    zero = (0,) * Ht.shape[1]
+
+    def level(m, w):
+        if w == 0:
+            yield (0,) * m, zero
+            return
+        if m > w:
+            for head, s in level(m - 1, w):
+                yield head + (0,), s
+        for a in f.nonzero():
+            term = terms[m - 1][a]
+            for head, s in level(m - 1, w - 1):
+                yield head + (a,), tuple(map(add, s, term))
+
+    for w in range(radius + 1):
+        yield from level(len(Ht.rows), w)
+
+
+@pytest.mark.parametrize("p,nu,n", [(2, 1, 9), (3, 1, 6), (2, 2, 5)])
+def test_patterns_keep_the_recursive_search_order(p, nu, n):
+    # the order picks the leader among tied patterns, and the row order
+    f = FiniteField(p, nu)
+    rng = random.Random(10 * p + nu)
+    built = 0
+    while built < 3:
+        k = rng.randint(1, n - 2)
+        G = _random_matrix(f, rng, k, n)
+        if G.rank() < k:
+            continue
+        built += 1
+        Ht = LinearCode.from_generator(f, G)._Ht
+        for radius in range(n + 1):
+            assert list(linear._patterns(f, Ht, radius)) == list(
+                _recursive_patterns(f, Ht, radius))
+
+
+def test_message_of_reads_the_pivots_when_inv_is_the_identity():
+    f = FiniteField(3)
+    nonsystematic = LinearCode.from_generator(f, [[1, 2, 0, 1, 1], [2, 0, 1, 1, 2]])
+    rng = random.Random(3)
+    for code, identity in [(HammingCode(4).code, True), (HammingCode(7).code, True),
+                           (nonsystematic, False)]:
+        pivots, inv = code.pivot_inverse()
+        assert code._pivots_are_message == identity
+        for _ in range(50):
+            c = code.encode([rng.randrange(f.q if code is nonsystematic else 2)
+                             for _ in range(code.k)])
+            assert code._message_of(c) == inv.mul_vec([c[p] for p in pivots])

@@ -1169,7 +1169,17 @@ BATCH_CODES = {
     "rs15_11-m0=0": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 11, m0=0),
     "rs15_11-m0=2": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 11, m0=2),
     "rs255": lambda: RSCode(FiniteField(2, 8), 255, 223),
+    # 64 % m != 0 and (n - k) m > 64: the syndromes fill more than one
+    # lane, and a symbol packed at bit m j would straddle two
+    "rs31_15": lambda: RSCode(FiniteField(2, 5), 31, 15),
+    "rs63_39": lambda: RSCode(FiniteField(2, 6), 63, 39),
+    # odd n - k: one syndrome more than 2t
+    "rs15_8": lambda: RSCode(FiniteField(2, 4, (1, 1, 0, 0, 1)), 15, 8),
+    # n q lanes above BATCH_WORK: the log matrices stand in for the tables
+    "rs15_7-gf65536": lambda: RSCode(FiniteField(2, 16), 15, 7),
 }
+# beyond the radius these codes miscorrect too rarely to show in a test
+RARE_MISCORRECTION = ("rs255", "rs31_15", "rs63_39", "rs15_7-gf65536")
 
 
 def batch_words(rs, count, seed):
@@ -1197,17 +1207,56 @@ def test_decode_batch_equals_decode(name):
     # beyond the radius some words are detected, and on the small codes
     # some are miscorrected
     assert not ok.all()
-    if name not in ("rs255", "rs7_6"):
+    if name not in RARE_MISCORRECTION + ("rs7_6",):
         assert (ok & (codewords != sent).any(axis=1)).any()
 
 
-@pytest.mark.parametrize("name", ["rs7_3", "rs10_4-pgz", "rs255"])
+@pytest.mark.parametrize("name", ["rs7_3", "rs10_4-pgz", "rs255", "rs31_15", "rs63_39",
+                                  "rs15_8", "rs15_7-gf65536"])
 def test_batch_encoder_equals_encode(name):
     # the Monte Carlo kernel encodes its messages with it
     rs = BATCH_CODES[name]()
     messages = np.random.default_rng(7).integers(0, rs.field.q, (200, rs.k))
     assert rs._batch.encode(messages).tolist() == [
         list(rs.encode(u)) for u in messages.tolist()]
+
+
+def test_packed_tables_up_to_batch_work(monkeypatch):
+    # RS(10,4) over GF(16) packs its 6 syndromes in one lane: 10 * 16 * 1
+    # table entries.  At BATCH_WORK = 160 it is packed, at 159 it takes
+    # the log matrices, and both decode as the scalar decoder does
+    assert BATCH_CODES["rs255"]()._batch.packed
+    assert not BATCH_CODES["rs15_7-gf65536"]()._batch.packed
+    _, words = batch_words(BATCH_CODES["rs10_4-pgz"](), 2000, seed=5)
+    results = []
+    for work in (160, 159):
+        monkeypatch.setattr(reed_solomon, "BATCH_WORK", work)
+        rs = BATCH_CODES["rs10_4-pgz"]()
+        assert rs._batch.packed == (work == 160)
+        results.append(rs.decode_batch(words))
+        messages = np.random.default_rng(9).integers(0, 16, (100, rs.k))
+        assert rs._batch.encode(messages).tolist() == [
+            list(rs.encode(u)) for u in messages.tolist()]
+    want = [rs.decode(word) for word in words.tolist()]
+    for ok, codewords in results:
+        assert ok.tolist() == [out.corrected for out in want]
+        assert codewords.tolist() == [list(out.codeword) if out.corrected else word
+                                      for out, word in zip(want, words.tolist())]
+
+
+@pytest.mark.parametrize("name", ["rs10_4-pgz", "rs15_8", "rs15_7-gf65536"])
+def test_batch_recheck_rejects_a_faulty_forney_stage(name):
+    # every error value is off by a factor alpha: the re-check at the
+    # roots turns each correction into a rejection, and no word comes
+    # out miscorrected
+    rs = BATCH_CODES[name]()
+    batch = rs._batch
+    batch.forney = (batch.forney + 1) % batch.order
+    sent, words = batch_words(rs, 2000, seed=6)
+    ok, codewords = rs.decode_batch(words)
+    clean = ~(words != sent).any(axis=1)
+    assert clean.any() and not clean.all()
+    assert (ok == clean).all() and (codewords == words).all()
 
 
 def test_batch_input_is_checked(gf9):
