@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .burst import reiger_report
 from .channel import event_polynomials, monte_carlo
@@ -226,6 +227,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# built on first use, not at import; `parse_args` leaves a parser as it
+# was, so one serves every call of the process
+@cache
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="blockfec",

@@ -85,11 +85,11 @@ def parse_field(text: str) -> FiniteField:
     nu = int(m.group(2) or 1)
     coeffs = m.group(3)
     if coeffs is None or coeffs == "":
-        return FiniteField(p, nu, None)
+        return GF(p, nu, None)
     modulus = tuple(int(c) for c in coeffs.split(","))
     if nu == 1:
         raise SpecError("prime fields take no defining polynomial")
-    return FiniteField(p, nu, modulus)
+    return GF(p, nu, modulus)
 
 
 def _split_top(text: str, sep: str):
@@ -158,8 +158,11 @@ def _parse_symbols(field, text: str):
 def load_code_file(path: str):
     """Code-spec text file: a field spec on the first line, then one
     generator row per line (whitespace- or comma-separated symbols)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except OSError as exc:
+        raise SpecError(f"cannot read code file {path!r}: {exc.strerror or exc}") from exc
     if not lines:
         raise SpecError(f"{path}: empty code file")
     fld = parse_field(lines[0])

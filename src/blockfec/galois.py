@@ -329,6 +329,12 @@ class FiniteField:
         """Accepts '0', '1', 'a', 'a<k>', a radix-p digit group, or
         (for 8-bit byte fields) a 0x-prefixed hex byte."""
         text = text.strip()
+        # the common case, a plain group of nu ASCII digits below p <= 10,
+        # lowest degree first, in one call; int() would also take signs,
+        # underscores and other scripts' digits, so those go the long way
+        if (self.p <= 10 and len(text) == self.nu and text.isascii()
+                and text.isdigit() and max(text) < str(self.p)):
+            return int(text[::-1], self.p)
         if text == "0":
             return 0
         if text == "1":

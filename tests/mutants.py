@@ -4,10 +4,10 @@
     python tests/mutants.py NAME ...   # the named ones
 
 Each mutant replaces one piece of text, which must occur exactly once,
-in one file of the package.  The script copies src/, tests/ and
-pyproject.toml into a temporary directory, applies each mutant there in
-turn and runs `pytest -x -q` on the mutant's test selection, one process
-at a time.  A mutant is killed when pytest reports a failure.  It never
+in one file of the package.  The script copies src/, tests/,
+pyproject.toml and README.md (test_cli.py reads its commands) into a
+temporary directory, applies each mutant there in turn and runs
+`pytest -x -q` on the mutant's test selection, one process at a time.  A mutant is killed when pytest reports a failure.  It never
 writes to the checkout.  The exit status is 1 if a mutant survives or
 no longer applies.
 
@@ -26,6 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RS = "src/blockfec/reed_solomon.py"
 LINEAR = "src/blockfec/linear.py"
+GALOIS = "src/blockfec/galois.py"
+CODESPEC = "src/blockfec/codespec.py"
+CLI = "src/blockfec/cli.py"
+DIGIT_GROUPS = ["tests/test_galois.py", "-k", "digit_groups"]
 RS_BATCH = ["tests/test_reed_solomon.py", "-k", "batch or packed"]
 ARRAY = ["tests/test_channel.py", "tests/test_acceptance.py::test_criterion_13_monte_carlo"]
 
@@ -82,6 +86,27 @@ MUTANTS = [
     ("message-of-always-reads-pivots", LINEAR,
      "return u if self._pivots_are_message else inv.mul_vec(u)",
      "return u", ["tests/test_linear.py", "-k", "message_of"]),
+    # -- the warm command-line path ---------------------------------------------
+    ("digit-group-not-reversed", GALOIS,
+     "return int(text[::-1], self.p)",
+     "return int(text, self.p)", DIGIT_GROUPS),
+    ("digit-group-bound-dropped", GALOIS,
+     "and text.isdigit() and max(text) < str(self.p)):",
+     "and text.isdigit()):", DIGIT_GROUPS),
+    ("digit-group-any-prime", GALOIS,
+     "if (self.p <= 10 and len(text) == self.nu",
+     "if (len(text) == self.nu", DIGIT_GROUPS),
+    ("code-file-oserror-leaks", CODESPEC,
+     "    except OSError as exc:\n",
+     "    except LookupError as exc:\n", ["tests/test_cli.py", "-k", "unreadable"]),
+    ("spec-field-not-cached", CODESPEC,
+     "return GF(p, nu, modulus)",
+     "return FiniteField(p, nu, modulus)", ["tests/test_cli.py", "-k", "share_one_field"]),
+    ("parser-keeps-last-arguments", CLI,
+     "args = ap.parse_args(argv)\n",
+     "args = ap.parse_args(argv)\n"
+     "        ap._subparsers._group_actions[0].choices[args.command]"
+     ".set_defaults(**vars(args))\n", ["tests/test_cli.py", "-k", "one_parser"]),
 ]
 
 
@@ -119,7 +144,8 @@ def main(names):
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree)
         for mutant in chosen:
             t0 = time.monotonic()
             verdict = run(*mutant[1:], tree)

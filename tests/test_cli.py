@@ -1,5 +1,6 @@
 """Command-line interface: round trips, formats, and exit statuses."""
 
+import os
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from blockfec.cli import main
 from blockfec.codespec import SpecError, build, parse_field, parse_spec
+from blockfec.errors import FecError
 
 
 def run(capsys, *argv):
@@ -41,6 +43,18 @@ def test_parse_field_variants():
     assert parse_field("GF(2^4)").modulus == (1, 1, 0, 0, 1)
     with pytest.raises(Exception):
         parse_field("GF(six)")
+
+
+def test_builds_of_one_spec_share_one_field():
+    assert build(RS73).field is build(RS73).field
+    assert parse_field("GF(3^2)") is parse_field("GF(3^2)")
+
+
+@pytest.mark.parametrize("text", ["GF(six)", "GF(2^3", "GF(7)[1,2]", "GF(7^1)[1,2]"])
+def test_bad_field_specs_raise_spec_errors(text):
+    for _ in range(2):      # a failed construction is not cached
+        with pytest.raises(SpecError):
+            parse_field(text)
 
 
 def test_build_families():
@@ -348,6 +362,18 @@ def test_linear_code_from_file(tmp_path, capsys):
     )
     assert status == 0
     assert out.strip() == "1,1,1,0,1"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_code_file_is_a_spec_error(tmp_path, capsys, where):
+    path = tmp_path / "absent.txt" if where == "missing" else tmp_path
+    with pytest.raises(FecError, match="cannot read code file") as info:
+        build(f"linear:file={path}")
+    assert isinstance(info.value.__cause__, OSError)
+    status, out, err = run(capsys, "decode", "--code", f"linear:file={path}",
+                           "--received", "0")
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 def test_hex_symbols_for_byte_field():
@@ -669,3 +695,38 @@ def test_readme_commands_run_without_numpy(argv):
     done = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stderr.split() == ["0", "False"]
+
+
+def test_one_parser_serves_every_call_alike(capsys):
+    # each call in one process prints what a fresh process prints
+    rs = build("rs:field=GF(2^4)[1,1,0,0,1],n=15,k=9,shorten=5")
+    word = list(rs.encode((1, 2, 3, 4)))
+    word[1] ^= 3
+    received = ",".join(rs.field.format_element(x, "vector") for x in word)
+    product = build(PRODUCT)
+    noisy = list(product.encode([4] * 15))
+    noisy[3] ^= 1
+    noisy[30] ^= 2
+    received_product = ",".join(map(product.field.format_element, noisy))
+    calls = [
+        ("decode", "--code", RS73),
+        ("decode", "--code", rs.spec.render(), "--received", received,
+         "--format", "record", "--erasures", "4,7", "--vector"),
+        ("decode", "--code", rs.spec.render(), "--received", received),
+        ("decode", "--code", PRODUCT, "--received", received_product,
+         "--rerun-inner", "--max-inner-errors", "1", "--format", "record"),
+        ("decode", "--code", PRODUCT, "--received", received_product,
+         "--format", "record"),
+        ("simulate", "--code", "hamming:r=3", "--p", "0.05", "--trials", "200",
+         "--seed", "3"),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    statuses = []
+    for argv in calls:
+        status, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "blockfec.cli", *argv],
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert (status, out) == (fresh.returncode, fresh.stdout), argv
+        statuses.append(status)
+    assert statuses == [1, 0, 0, 0, 0, 0]

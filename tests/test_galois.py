@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfec import (
+    GF,
     FiniteField,
     Poly,
     conjugacy_class,
@@ -465,3 +466,57 @@ def test_parse_and_format_roundtrip(gf16, gf9, gf11):
             for style in ("log", "vector"):
                 assert field.parse_element(field.format_element(a, style)) == a
     assert gf11.parse_element("10") == 10
+
+
+def generic_parse_element(self, text):
+    """`FiniteField.parse_element` before its digit-group shortcut, frozen."""
+    text = text.strip()
+    if text == "0":
+        return 0
+    if text == "1":
+        return 1
+    if text.startswith("0x") and self.p == 2 and self.nu == 8:
+        val = int(text, 16)
+        if not 0 <= val < self.q:
+            raise ValueError(f"{text!r} out of range for {self}")
+        return val
+    if text in ("a", "A"):
+        return self.exp(1)
+    if text.startswith(("a", "A")) and text[1:].lstrip("-").isdigit():
+        return self.exp(int(text[1:]))
+    if self.nu == 1 and text.isdigit() and int(text) < self.p:
+        return int(text)
+    digits = text.split(".") if "." in text else list(text)
+    if len(digits) == self.nu and all(d.isdigit() for d in digits):
+        vals = [int(d) for d in digits]
+        if all(v < self.p for v in vals):
+            return self.element(vals)
+    raise ValueError(f"cannot parse {text!r} as an element of {self}")
+
+
+def parse_outcome(parse, field, text):
+    """The value, or the exception's type and message."""
+    try:
+        return parse(field, text)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+ODD_SYMBOLS = ["00000", "0_11", "+011", "-011", " 0011 ", "2222", "0x1f", "١٠٠١",
+               "０１０１", "", "a", "a-1", "1.0.1", "²", "10", "011", "0 1", "9"]
+
+
+# GF(37^2): a prime above 36, the largest base int() takes
+@pytest.mark.parametrize("p,nu", [(2, 1), (2, 3), (2, 4), (3, 2), (11, 1), (5, 2), (3, 3),
+                                  (2, 8), (7, 2), (37, 2)])
+def test_digit_groups_parse_as_the_generic_parser_does(p, nu):
+    field = GF(p, nu)
+    texts = [field.format_element(a, style) for a in field.elements()
+             for style in ("vector", "log")]
+    texts += ODD_SYMBOLS
+    if field.q <= 27:   # every ASCII digit string up to one digit too long
+        texts += ["".join(ds) for w in range(1, nu + 2)
+                  for ds in itertools.product("0123456789", repeat=w)]
+    for text in texts:
+        want = parse_outcome(generic_parse_element, field, text)
+        assert parse_outcome(FiniteField.parse_element, field, text) == want, text
