@@ -70,4 +70,4 @@ __all__ = sorted(name for name, value in globals().items()
 # trust rule of every batch codec holds the live one to
 linear.snapshot_library(
     [module for name, module in sys.modules.items() if name.startswith(__name__ + ".")],
-    codecs=(linear.ArrayCodec, reed_solomon.BatchCoder))
+    codecs=(linear.ArrayCodec, linear.PackedMap, reed_solomon.BatchCoder))

@@ -141,6 +141,11 @@ class FiniteField:
     """
 
     def __init__(self, p: int, nu: int = 1, modulus=None):
+        # the cap first, read off p and nu: trial division of a huge p,
+        # or p**nu for a huge nu, would not finish
+        if p > MAX_FIELD_ORDER or nu > MAX_FIELD_ORDER.bit_length():
+            order = p if nu == 1 else f"{p}^{nu}"
+            raise TooLarge(f"field order {order} exceeds cap {MAX_FIELD_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if nu < 1:

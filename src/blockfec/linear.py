@@ -743,6 +743,79 @@ class StandardArray:
         )
 
 
+class PackedMap:
+    """A GF(2)-linear map from rows of a symbols to b symbols over
+    GF(2^m), read from packed tables: the "Four Russians" lookup
+    (Arlazarov, Dinic, Kronrod & Faradzev 1970) in the split-table
+    layout of Plank, Greenan & Miller (2013).  `basis[i, c]`, of shape
+    (a, m, b), is the image of the symbol 2^c at input position i.
+
+    An input digit is one symbol; for m = 1 it is eight bits, packed by
+    `np.packbits(..., bitorder="little")` with the last byte zero-padded.
+    Entry [j, v] of the table is the image of digit j holding v alone,
+    built by doubling: the entries of v + 2^c are those of v XOR the
+    image of bit c.  A row's image is the XOR of one entry per digit.
+    An image is packed floor(64/m) symbols to a uint64 lane, low-first:
+    output symbol i sits at bit m (i mod floor(64/m)) of lane
+    i // floor(64/m), so no symbol straddles two lanes, and a map to no
+    symbols keeps one zero lane.  Bit rows are read one gather per
+    digit, symbol rows one gather of all digits.  Tables replace matrix
+    products because numpy's integer matmul has no BLAS path: a product
+    costs a b multiply-adds per row, a table one gather per digit."""
+
+    def __init__(self, basis):
+        import numpy as np
+
+        a, m, b = basis.shape
+        self.m, self.b = m, b
+        per = 64 // m
+        lanes = max(1, -(-b // per))
+        bits = 8 if m == 1 else m
+        # the image of each input bit, packed; a row of bits per digit
+        shift = (m * (np.arange(lanes * per) % per)).astype(np.uint64)
+        images = np.zeros((-(-a * m // bits) * bits, lanes * per), dtype=np.uint64)
+        images[:a * m, :b] = basis.reshape(a * m, b)
+        images = np.bitwise_or.reduce((images << shift).reshape(-1, bits, lanes, per), axis=3)
+        self.table = np.zeros((len(images), 1 << bits, lanes), dtype=np.uint64)
+        for c in range(bits):
+            self.table[:, 1 << c:2 << c] = self.table[:, :1 << c] ^ images[:, c, None]
+        self.flat = self.table.reshape(-1, lanes)
+        self.size = 1 << bits
+        self.offset = (np.arange(len(images)) << bits)[:, None]
+        self.lane, self.shift = np.arange(b) // per, shift[:b]
+        self.mask = np.uint64((1 << m) - 1)
+
+    def __call__(self, rows):
+        """The packed images of a (B, a) array of rows: (B, lanes)."""
+        import numpy as np
+
+        if self.m > 1:
+            return np.bitwise_xor.reduce(self.flat.take(self.offset + rows.T, axis=0), axis=0)
+        count, a = rows.shape
+        padded = np.zeros((count, len(self.table) * 8), dtype=np.uint8)
+        padded[:, :a] = rows
+        # packing the flat array is many times faster than along axis 1
+        digits = np.packbits(padded.reshape(-1), bitorder="little").reshape(count, -1)
+        image = self.table[0].take(digits[:, 0], axis=0)
+        for j in range(1, len(self.table)):
+            image ^= self.table[j].take(digits[:, j], axis=0)
+        return image
+
+    def entries(self, at, values):
+        """The images of digit `at` holding `values` alone, a row of lanes
+        each; for m > 1 digit `at` is input position `at`."""
+        return self.flat.take(at * self.size + values, axis=0)
+
+    def symbols(self, lanes):
+        """The b output symbols of each row of packed lanes: (B, b)."""
+        import numpy as np
+
+        if self.m == 1:
+            bits = np.unpackbits(lanes.view(np.uint8).reshape(-1), bitorder="little")
+            return bits.reshape(len(lanes), -1)[:, :self.b]
+        return (lanes.take(self.lane, axis=1) >> self.shift) & self.mask
+
+
 class ArrayCodec:
     """The batch codec of a binary standard array: coset-leader decoding
     of the rows of a numpy array by syndrome -> leader and syndrome ->
@@ -751,20 +824,10 @@ class ArrayCodec:
     code.
 
     Its three GF(2)-linear maps, encode (message -> codeword), the
-    syndrome (word -> leader-table index) and info (codeword ->
-    message), are read from byte tables.  A row of a bits is packed
-    eight to a byte, its first bit the high bit, as `np.packbits` packs,
-    with the last byte zero-padded.  The table of a map holds, for each
-    input byte j and each value v, the image of that byte alone: the
-    XOR of the matrix rows 8j + i for each set bit i of v.  A row's
-    image is the XOR of its ceil(a/8) entries.  A codeword or message
-    image of b bits is held packed in ceil(b/64) uint64 lanes, so that
-    viewing the lanes as bytes and `np.unpackbits` give the bits back; a
-    syndrome image is the leader-table index itself.  The leaders are
-    held packed as well, so one XOR of bytes corrects a word.  Tables
-    replace matrix products over the batch because numpy's integer
-    matmul has no BLAS path: a product costs a·b multiply-adds per row,
-    a table ceil(a/8) gathers."""
+    syndrome and info (codeword -> message), are `PackedMap`s over bits.
+    A syndrome of n - k < 64 bits fills one lane, whose value is its
+    index in the leader and verdict tables; the leader is XORed into the
+    word."""
 
     def __init__(self, array: StandardArray, detect_rows=()):
         import numpy as np
@@ -776,82 +839,29 @@ class ArrayCodec:
         pivots, inv = code.pivot_inverse()
         unencode = np.zeros((n, k), dtype=np.uint8)   # u = codeword @ unencode
         unencode[list(pivots)] = inv.rows
-        self.n, self.k = n, k
-        self.enc = self._lanes(np.array(code.G.rows, dtype=np.uint8))
-        self.unenc = self._lanes(unencode)
-        Ht = np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T
-        # syndrome bits -> index, first bit highest
-        self.syndrome = self._images(Ht) @ (1 << np.arange(n - k - 1, -1, -1))
-        leaders = self._pack(np.array(array.leaders, dtype=np.uint8))
-        index = self._lookup(self.syndrome, leaders)
-        self.leader = np.zeros((1 << (n - k), leaders.shape[1]), dtype=np.uint8)
+        self.enc = PackedMap(np.array(code.G.rows, dtype=np.uint8)[:, None])
+        self.unenc = PackedMap(unencode[:, None])
+        self.syndrome = PackedMap(
+            np.array(code.H.rows, dtype=np.uint8).reshape(n - k, n).T[:, None])
+        leaders = np.array(array.leaders, dtype=np.uint8)
+        index = self.syndrome(leaders)[:, 0]
+        self.leader = np.zeros((1 << (n - k), n), dtype=np.uint8)
         self.ok = np.zeros(1 << (n - k), dtype=bool)
         self.leader[index], self.ok[index] = leaders, True
         detect = index[list(detect_rows)]
         self.ok[detect], self.leader[detect] = False, 0
 
-    @staticmethod
-    def _pack(bits):
-        """The (B, a) 0/1 rows packed: (B, ceil(a/8)) uint8."""
-        import numpy as np
-
-        rows, a = bits.shape
-        padded = np.zeros((rows, -(-a // 8) * 8), dtype=np.uint8)
-        padded[:, :a] = bits
-        # packing the flat array is many times faster than along axis 1
-        return np.packbits(padded.reshape(-1)).reshape(rows, -1)
-
-    @staticmethod
-    def _images(matrix):
-        """The byte images of an (a, b) 0/1 matrix: (ceil(a/8), 256, b)
-        uint8, entry [j, v] the XOR of its rows 8j + i for each bit i of
-        v, counted from the high bit."""
-        import numpy as np
-
-        a, b = matrix.shape
-        padded = np.zeros((-(-a // 8) * 8, b), dtype=np.uint8)
-        padded[:a] = matrix
-        byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-        return byte_bits @ padded.reshape(len(padded) // 8, 8, b) & 1
-
-    @classmethod
-    def _lanes(cls, matrix):
-        """The byte images of `matrix`, each packed into ceil(b/64) uint64
-        lanes: (ceil(a/8), 256, ceil(b/64)) uint64."""
-        import numpy as np
-
-        images = cls._images(matrix)
-        b = images.shape[2]
-        lanes = np.zeros(images.shape[:2] + (-(-b // 64) * 8,), dtype=np.uint8)
-        lanes[..., :-(-b // 8)] = np.packbits(images, axis=2)
-        return lanes.view(np.uint64)
-
-    @staticmethod
-    def _lookup(table, packed):
-        """The image of each packed row: the XOR of table[j, byte j]."""
-        image = table[0].take(packed[:, 0], axis=0)
-        for j in range(1, len(table)):
-            image ^= table[j].take(packed[:, j], axis=0)
-        return image
-
-    @staticmethod
-    def _unpack(lanes, b):
-        """The first b bits of each row of packed lanes, a (B, b) view."""
-        import numpy as np
-
-        return np.unpackbits(lanes.view(np.uint8).reshape(-1)).reshape(len(lanes), -1)[:, :b]
-
     def encode(self, messages):
-        return self._unpack(self._lookup(self.enc, self._pack(messages)), self.n)
+        return self.enc.symbols(self.enc(messages))
 
     def decode(self, words):
         """(ok, codewords), as `RSCode.decode_batch` returns them."""
-        packed = self._pack(words)
-        index = self._lookup(self.syndrome, packed)
-        return self.ok[index], self._unpack(packed ^ self.leader.take(index, axis=0), self.n)
+        # an int64 index needs no conversion, a uint64 one does
+        index = self.syndrome(words)[:, 0].view("int64")
+        return self.ok[index], words ^ self.leader.take(index, axis=0)
 
     def info(self, codewords):
-        return self._unpack(self._lookup(self.unenc, self._pack(codewords)), self.k)
+        return self.unenc.symbols(self.unenc(codewords))
 
 
 _RADIUS_CODECS = weakref.WeakKeyDictionary()

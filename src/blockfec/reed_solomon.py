@@ -80,15 +80,14 @@ never touch numpy.
 A GF(2^m) code also decodes a batch of erasure-free words at once:
 `decode_batch` runs `BatchCoder`, numpy over the whole batch.  It turns
 the syndrome and parity log matrices, cut to the transmitted positions,
-into packed tables (one uint64 entry per position and symbol, unless
-that exceeds BATCH_WORK), solves the key equation by the reformulated
-inversionless Berlekamp-Massey algorithm in lockstep, which yields the
-locator and the evaluator together, and runs Forney and the re-check at
-the roots alone.  Its verdicts and codewords are those of `decode` with
-either solver (see `BatchCoder`), so it is the code's `batch_codec`
-while nothing the library runs has been replaced since import
-(`linear.runs_own_decoders`).  It imports numpy when first used, as the
-gathered backend does.
+into `linear.PackedMap`s (unless their tables exceed BATCH_WORK), solves
+the key equation by the reformulated inversionless Berlekamp-Massey
+algorithm in lockstep, which yields the locator and the evaluator
+together, and runs Forney and the re-check at the roots alone.  Its
+verdicts and codewords are those of `decode` with either solver (see
+`BatchCoder`), so it is the code's `batch_codec` while nothing the
+library runs has been replaced since import (`linear.runs_own_decoders`).
+It imports numpy when first used, as the gathered backend does.
 """
 
 from __future__ import annotations
@@ -102,6 +101,7 @@ from .errors import DegreeTooHigh, InvalidParams, InvalidSymbol, LengthMismatch
 from .linear import (
     DecodeOutcome,
     MatrixGF,
+    PackedMap,
     ReceivedWord,
     _solve_square,
     check_word,
@@ -553,18 +553,14 @@ class BatchCoder:
     of a GF(2^m) RS code, in numpy over the whole batch, each stage a few
     numpy calls over a chunk of BATCH_WORK // (n(n-k)) words.
 
-    Packed tables (after Plank, Greenan & Miller 2013).  The syndromes
-    and the parity are fixed GF(2)-linear maps of the word.  Entry
-    [i, a] of a map's table holds the n - k symbols that symbol a at
-    position i adds to the output, packed floor(64/m) symbols to a
-    uint64 lane: output j sits in lane j // floor(64/m), at bit
-    m (j mod floor(64/m)), so no symbol straddles two lanes.  A word's
-    syndromes are one `take` of its n entries and one XOR reduce; a zero
-    packed row is a codeword, and only the other rows are unpacked.  The
-    table holds n q lanes entries.  A code whose n q lanes exceeds
-    BATCH_WORK (a long code over a large field) keeps the log matrices
-    of `gather_eval` in its place, and takes the same images as
-    exp[log M[i] + log a], one symbol to a lane.
+    Packed tables.  The syndromes and the parity are fixed GF(2)-linear
+    maps of the word, each a `PackedMap` whose entry [i, a] holds the
+    n - k symbols that symbol a at position i adds to the output.  A
+    zero packed syndrome row is a codeword, and only the other rows are
+    unpacked.  A map's table holds n q lanes entries.  A code whose
+    n q lanes exceeds BATCH_WORK (a long code over a large field) keeps
+    the log matrices of `gather_eval` in its place, and takes the same
+    images as exp[log M[i] + log a], one symbol each.
 
     Key equation: the reformulated inversionless Berlekamp-Massey
     algorithm (riBM; Sarwate & Shanbhag 2001), n - k lockstep steps with
@@ -616,23 +612,21 @@ class BatchCoder:
 
         f = code.field
         self.order = order = f.q - 1
-        self.q = f.q
         self.n, self.k, self.nk, self.t = code.n, code.k, code.n - code.k, code.radius
         nk, t = self.nk, self.t
         self.exp, self.log = _gather_tables(f)
         self.dtype = self.exp.dtype
         # the transmitted positions in full-length indexing
         sent = list(range(code.k)) + list(range(code._full_k, code._full_n))
-        self.at = np.arange(self.n)[:, None]
-        # symbol j of an image in lane j // per, at bit m (j % per)
-        per = 64 // f.nu
-        self.packed = self.n * f.q * -(-nk // per) <= BATCH_WORK
-        per = per if self.packed else 1
-        self.lane = np.arange(nk) // per
-        self.shift = (f.nu * (np.arange(nk) % per)).astype(np.uint64)[:, None]
-        self.mask = np.uint64(order)
-        self.syndrome = self._table(np.asarray(code._syndrome_logs, dtype=np.intp)[:, sent].T)
-        self.parity = self._table(np.asarray(code._parity_logs, dtype=np.intp).T)
+        # the log matrices, row i the logs of what position i adds to
+        # each output; a PackedMap's basis row i holds the images of 2^c
+        maps = (np.asarray(code._syndrome_logs, dtype=np.intp)[:, sent].T,
+                np.asarray(code._parity_logs, dtype=np.intp).T)
+        self.packed = self.n * f.q * -(-nk // (64 // f.nu)) <= BATCH_WORK
+        if self.packed:
+            unit_logs = self.log[1 << np.arange(f.nu)][:, None]
+            maps = [PackedMap(self.exp[logs[:, None] + unit_logs]) for logs in maps]
+        self.syndrome, self.parity = maps
         chien = np.asarray(code._chien_logs, dtype=np.intp)[sent]
         # log X^-l for l <= t, a row per l, a column per position X
         self.chien = chien[:, :t + 1].T[:, None, :].copy()
@@ -644,33 +638,20 @@ class BatchCoder:
         self.start[0, nk + t] = self.start[1, 0] = self.start[1, nk + t + 1] = 0
         self.chunk = max(1, BATCH_WORK // (code.n * nk))
 
-    def _table(self, logs):
-        """The packed table of the map with log matrix `logs` (row i: the
-        logs of what position i adds to each output), flat over (i, a);
-        `logs` itself when the code is not packed."""
-        import numpy as np
-
-        if not self.packed:
-            return logs
-        lanes = self.lane[-1] + 1
-        table = np.empty((len(logs) * self.q, lanes), dtype=np.uint64)
-        la = self.log[np.arange(self.q)][:, None]
-        for lane in range(lanes):
-            out = self.lane == lane
-            images = self.exp[logs[:, None, out] + la].astype(np.uint64) << self.shift[out, 0]
-            table[:, lane] = np.bitwise_or.reduce(images, axis=2).ravel()
-        return table
+    def _map(self, table, rows):
+        """The images of a (B, a) array of symbol rows under `table`'s
+        map: packed lanes, or on the log path the n - k symbols."""
+        return table(rows) if self.packed else _log_matvec(self.exp, self.log, table.T, rows)
 
     def _images(self, table, at, values):
-        """The images of the symbols `values` at positions `at` under the
-        map of `table`, a row of lanes each."""
+        """The images of the single symbols `values` at positions `at`."""
         if self.packed:
-            return table.take(at * self.q + values, axis=0)
+            return table.entries(at, values)
         return self.exp[table.take(at, axis=0) + self.log[values][..., None]]
 
-    def _unpack(self, lanes):
-        """The n - k symbols packed in each row of lanes, a column each."""
-        return (lanes.T.take(self.lane, axis=0) >> self.shift) & self.mask
+    def _unpack(self, table, images):
+        """The n - k symbols of each row of images: (B, n - k)."""
+        return table.symbols(images) if self.packed else images
 
     def _chunks(self, size: int):
         return (slice(s, s + self.chunk) for s in range(0, size, self.chunk))
@@ -683,8 +664,7 @@ class BatchCoder:
         out = np.empty((len(messages), self.n), dtype=self.dtype)
         out[:, :self.k] = messages
         for s in self._chunks(len(messages)):
-            parity = self._images(self.parity, self.at[:self.k], messages[s].T)
-            out[s, self.k:] = self._unpack(np.bitwise_xor.reduce(parity, axis=0)).T
+            out[s, self.k:] = self._unpack(self.parity, self._map(self.parity, messages[s]))
         return out
 
     def decode(self, words):
@@ -701,7 +681,7 @@ class BatchCoder:
         out = words.astype(self.dtype)
         ok = np.ones(len(words), dtype=bool)
         for s in self._chunks(len(words)):
-            S = np.bitwise_xor.reduce(self._images(self.syndrome, self.at, out[s].T), axis=0)
+            S = self._map(self.syndrome, out[s])
             rows = np.flatnonzero(S.any(axis=1))
             if rows.size:
                 good, which, at, values = self._errors(S.take(rows, axis=0))
@@ -721,7 +701,7 @@ class BatchCoder:
         import numpy as np
 
         exp, log, t = self.exp, self.log, self.t
-        delta, kappa = self._ribm(log[self._unpack(S)])
+        delta, kappa = self._ribm(log[self._unpack(self.syndrome, S).T])
         # the Chien search: Lambda's even and odd parts at each position
         terms = exp[self.chien + delta[t:2 * t + 1, :, None]]
         odd = np.bitwise_xor.reduce(terms[1::2], axis=0)

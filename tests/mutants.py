@@ -32,6 +32,7 @@ CLI = "src/blockfec/cli.py"
 DIGIT_GROUPS = ["tests/test_galois.py", "-k", "digit_groups"]
 RS_BATCH = ["tests/test_reed_solomon.py", "-k", "batch or packed"]
 ARRAY = ["tests/test_channel.py", "tests/test_acceptance.py::test_criterion_13_monte_carlo"]
+KERNEL = ["tests/test_linear.py", "-k", "packed_map"]
 
 # (name, file, old text, new text, pytest arguments that select the tests)
 MUTANTS = [
@@ -45,37 +46,46 @@ MUTANTS = [
     ("packed-recheck-dropped", RS,
      "ok[kept] = (check == S.take(kept, axis=0)).all(axis=1)",
      "ok[kept] = True", RS_BATCH),
-    ("lane-shift-off-by-one", RS,
-     "(f.nu * (np.arange(nk) % per))",
-     "(f.nu * (np.arange(nk) % per + 1))", RS_BATCH),
-    ("symbol-straddles-lanes", RS,
-     "per = 64 // f.nu\n",
-     "per = -(-64 // f.nu)\n", RS_BATCH),
+    ("lane-shift-off-by-one", LINEAR,
+     "(m * (np.arange(lanes * per) % per))",
+     "(m * (np.arange(lanes * per) % per + 1))", RS_BATCH),
+    ("symbol-straddles-lanes", LINEAR,
+     "per = 64 // m\n",
+     "per = -(-64 // m)\n", RS_BATCH),
     ("forney-exponent-m0", RS,
      "(np.arange(t)[:, None] + code.m0 + nk)",
      "(np.arange(t)[:, None] + code.m0)", RS_BATCH),
-    # -- the standard-array codec's byte tables ----------------------------
+    # -- the packed-table kernel and the standard-array codec's maps --------
     ("array-enc-bit-flipped", LINEAR,
-     "self.enc = self._lanes(np.array(code.G.rows, dtype=np.uint8))\n",
-     "self.enc = self._lanes(np.array(code.G.rows, dtype=np.uint8))\n"
-     "        self.enc[0, 0x40, 0] ^= np.uint64(1 << 9)\n", ARRAY),
+     "self.enc = PackedMap(np.array(code.G.rows, dtype=np.uint8)[:, None])\n",
+     "self.enc = PackedMap(np.array(code.G.rows, dtype=np.uint8)[:, None])\n"
+     "        self.enc.table[0, 0x40, 0] ^= np.uint64(1 << 9)\n", ARRAY),
     ("array-syndrome-bit-flipped", LINEAR,
-     "self.syndrome = self._images(Ht) @ (1 << np.arange(n - k - 1, -1, -1))\n",
-     "self.syndrome = self._images(Ht) @ (1 << np.arange(n - k - 1, -1, -1))\n"
-     "        self.syndrome[0, 0x20] ^= 1\n", ARRAY),
+     ".reshape(n - k, n).T[:, None])\n",
+     ".reshape(n - k, n).T[:, None])\n"
+     "        self.syndrome.table[0, 0x20, 0] ^= np.uint64(1)\n", ARRAY),
     ("array-unenc-bit-flipped", LINEAR,
-     "self.unenc = self._lanes(unencode)\n",
-     "self.unenc = self._lanes(unencode)\n"
-     "        self.unenc[0, 0x10, 0] ^= np.uint64(1 << 2)\n", ARRAY),
+     "self.unenc = PackedMap(unencode[:, None])\n",
+     "self.unenc = PackedMap(unencode[:, None])\n"
+     "        self.unenc.table[0, 0x10, 0] ^= np.uint64(1 << 2)\n", ARRAY),
     ("array-last-partial-byte-dropped", LINEAR,
-     "padded[:, :a] = bits",
-     "padded[:, :a - a % 8] = bits[:, :a - a % 8]", ARRAY),
+     "padded[:, :a] = rows",
+     "padded[:, :a - a % 8] = rows[:, :a - a % 8]", ARRAY),
     ("array-lane-bytes-swapped", LINEAR,
-     "return lanes.view(np.uint64)",
-     "return lanes.view(np.uint64).byteswap()", ARRAY),
+     "np.unpackbits(lanes.view(np.uint8)",
+     "np.unpackbits(lanes.byteswap().view(np.uint8)", ARRAY),
     ("array-single-lane", LINEAR,
-     "(-(-b // 64) * 8,)",
-     "(8,)", ARRAY),
+     "lanes = max(1, -(-b // per))",
+     "lanes = 1", ARRAY),
+    ("kernel-doubling-wrong-bit", LINEAR,
+     "^ images[:, c, None]",
+     "^ images[:, c - 1, None]", KERNEL),
+    ("kernel-entries-no-digit-offset", LINEAR,
+     "self.flat.take(at * self.size + values, axis=0)",
+     "self.flat.take(values, axis=0)", KERNEL),
+    ("kernel-symbols-no-shift", LINEAR,
+     "(lanes.take(self.lane, axis=1) >> self.shift) & self.mask",
+     "lanes.take(self.lane, axis=1) & self.mask", KERNEL),
     ("array-detect-rows-ignored", LINEAR,
      "self.ok[detect], self.leader[detect] = False, 0",
      "pass", ARRAY),

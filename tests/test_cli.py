@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -511,6 +512,22 @@ def test_bad_compositions_and_specs_exit_1(capsys, argv):
     status, out, err = run(capsys, *argv)
     assert status == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "GF(2305843009213693951)"),
+    ("field", "GF(3^100000)"),
+    ("decode", "--code", "rs:field=GF(2305843009213693951),n=6,k=2",
+     "--received", "1,2,3,4,5,6"),
+], ids=["huge-prime", "huge-degree", "huge-prime-code"])
+def test_huge_fields_exit_1_at_once(capsys, argv):
+    # the field cap is read off p and nu, before the primality test and
+    # before p^nu is formed
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    assert err.startswith("error: field order ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("code", [

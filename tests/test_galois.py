@@ -27,6 +27,7 @@ from blockfec.errors import (
     NotPrime,
     NotPrimitive,
     OrderMismatch,
+    TooLarge,
 )
 from blockfec.galois import LOG_ZERO, default_modulus
 
@@ -78,6 +79,17 @@ def test_gf11_uses_smallest_generator(gf11):
 def test_not_prime():
     with pytest.raises(NotPrime):
         FiniteField(4)
+
+
+def test_field_cap_comes_before_the_primality_test():
+    # from p and nu alone: trial division of 2^61 - 1 would not finish,
+    # nor would forming and formatting 3^100000
+    with pytest.raises(TooLarge, match="^field order 2305843009213693951 exceeds cap 65536$"):
+        FiniteField(2**61 - 1)
+    with pytest.raises(TooLarge, match=r"^field order 3\^100000 exceeds cap 65536$"):
+        FiniteField(3, 100000)
+    with pytest.raises(TooLarge, match="^field order 65537 exceeds cap 65536$"):
+        FiniteField(65537)
 
 
 def test_not_irreducible():

@@ -9,6 +9,7 @@ import pytest
 
 from blockfec import (
     BCHCode,
+    GF,
     FiniteField,
     GolayCode,
     HammingCode,
@@ -760,3 +761,42 @@ def test_message_of_reads_the_pivots_when_inv_is_the_identity():
             c = code.encode([rng.randrange(f.q if code is nonsystematic else 2)
                              for _ in range(code.k)])
             assert code._message_of(c) == inv.mul_vec([c[p] for p in pivots])
+
+
+# (m, a, b): bit maps across the byte and lane edges, and symbol maps
+# with one lane full and with one symbol more, where a symbol packed at
+# bit m j would straddle two lanes
+PACKED_MAP_SHAPES = ([(1, a, b) for a in (1, 7, 8, 9, 24) for b in (0, 1, 64, 65)]
+                     + [(m, 5, 64 // m + extra) for m in (3, 4, 5, 8) for extra in (0, 1)]
+                     + [(16, a, 4 + extra) for a in (1, 3) for extra in (0, 1)])
+
+
+@pytest.mark.parametrize("m,a,b", PACKED_MAP_SHAPES)
+def test_packed_map_equals_the_matrix_product(m, a, b):
+    # the kernel of a random (a, b) matrix M over GF(2^m) against the
+    # field's own arithmetic: row u maps to u M
+    import numpy as np
+
+    f = GF(2, m)
+    rng = np.random.default_rng(100 * m + 10 * a + b)
+    M = rng.integers(0, f.q, (a, b)).tolist()
+    basis = np.zeros((a, m, b), dtype=np.int64)
+    for i, c, j in product(range(a), range(m), range(b)):
+        basis[i, c, j] = f.mul(1 << c, M[i][j])
+    kernel = linear.PackedMap(basis)
+    rows = rng.integers(0, f.q, (40, a))
+    want = [[0] * b for _ in rows]
+    for out, u in zip(want, rows.tolist()):
+        for i, j in product(range(a), range(b)):
+            out[j] = f.add(out[j], f.mul(u[i], M[i][j]))
+    assert kernel.symbols(kernel(rows)).tolist() == want
+    # `entries` is the image of a row holding one symbol; a digit holds
+    # one symbol, or eight bits when m = 1
+    per_digit = 8 if m == 1 else 1
+    at = np.arange(a)
+    values = rng.integers(1, f.q, a)
+    entries = kernel.entries(at // per_digit, values << at % per_digit)
+    one_symbol = np.diag(values)
+    assert entries.tolist() == kernel(one_symbol).tolist()
+    assert kernel.symbols(entries).tolist() == [
+        [f.mul(v, x) for x in row] for v, row in zip(values.tolist(), M)]
